@@ -2,7 +2,11 @@ package core
 
 import (
 	"math"
+	"runtime"
+	"runtime/debug"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/crhkit/crh/internal/loss"
 	"github.com/crhkit/crh/internal/reg"
@@ -91,5 +95,37 @@ func TestSolverRunReusesPrepared(t *testing.T) {
 	// table header and truth table growth, nothing per-claim.
 	if b > a*4 {
 		t.Fatalf("run allocations scale with dataset size: %0.f (small) vs %.0f (16x entries)", a, b)
+	}
+}
+
+// TestParallelRunReleasesPrepared pins that a finished multi-worker run
+// keeps nothing reachable: one GC after the runs must collect their
+// Prepareds. A sync.Pool inside the solver would keep each solver, its
+// Prepared and its Dataset alive for two more GC cycles. Automatic
+// collection is off so the single runtime.GC below is the only cycle. A
+// pool worker may still hold the last run's finished job when that
+// cycle starts, so one survivor is allowed.
+func TestParallelRunReleasesPrepared(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	pool := NewPool(2)
+	defer pool.Close()
+	d := synthesize(equivCase{"mixed", 2, 2, 10, 200, 0.25}, 45)
+	const runs = 20
+	var released atomic.Int32
+	for i := 0; i < runs; i++ {
+		p := Prepare(d)
+		runtime.SetFinalizer(p, func(*Prepared) { released.Add(1) })
+		if _, err := p.Run(Config{Workers: 2, Pool: pool}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	// Finalizers run on their own goroutine after the cycle; wait for
+	// all of them, or for the deadline when one Prepared survived.
+	for deadline := time.Now().Add(time.Second); released.Load() < runs && time.Now().Before(deadline); {
+		runtime.Gosched()
+	}
+	if n := released.Load(); n < runs-1 {
+		t.Fatalf("one GC after %d two-worker runs released %d Prepareds, want at least %d", runs, n, runs-1)
 	}
 }

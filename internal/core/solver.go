@@ -24,13 +24,11 @@ type solver struct {
 
 	workers int
 	pool    *Pool
-	// scratches recycles per-goroutine gather buffers across parallel
-	// regions; the sequential path uses the solver-owned seq scratch,
-	// which — unlike a sync.Pool entry — cannot be reclaimed by the GC
-	// mid-run, keeping the Workers=1 path deterministic in allocation
-	// behaviour too.
-	scratches sync.Pool
-	seq       *scratch
+	// seq is the sequential path's scratch. It is solver-owned rather
+	// than drawn from scratchPool, because a pooled entry can be
+	// reclaimed by the GC mid-run, and the Workers=1 path must stay
+	// deterministic in allocation behaviour too.
+	seq *scratch
 	// lastWorkers records the worker budget engaged by the most recent
 	// parallel region — the per-phase count the solver trace reports.
 	lastWorkers int
@@ -79,12 +77,19 @@ type solver struct {
 
 // scratch holds one worker's reusable per-entry buffers: gathered
 // weights, fallback value copies, median quickselect space, and the
-// categorical vote tally. All are sized once from the frozen columns'
-// maxima (MaxObs, MaxCats), so per-entry slicing never reallocates.
+// categorical vote tally. All are sized from the frozen columns' maxima
+// (MaxObs, MaxCats), so per-entry slicing never reallocates.
 type scratch struct {
 	ws, vals, vbuf, wbuf, votes []float64
 	cats                        []int
 }
+
+// scratchPool recycles parallel workers' scratch across regions and
+// runs. It is package-level on purpose: once used, a sync.Pool stays in
+// the runtime's pool registry for two more GC cycles, so a pool inside
+// the solver would keep the finished solver, its Prepared and its
+// Dataset reachable that long after every multi-worker run.
+var scratchPool sync.Pool
 
 func (s *solver) newScratch() *scratch {
 	mo, mc := s.cols.MaxObs, s.cols.MaxCats
@@ -96,6 +101,15 @@ func (s *solver) newScratch() *scratch {
 		votes: make([]float64, mc),
 		cats:  make([]int, mo),
 	}
+}
+
+// getScratch draws a pooled scratch large enough for this solver's
+// columns, allocating one when the pool has none that fits.
+func (s *solver) getScratch() *scratch {
+	if sc, ok := scratchPool.Get().(*scratch); ok && len(sc.ws) >= s.cols.MaxObs && len(sc.votes) >= s.cols.MaxCats {
+		return sc
+	}
+	return s.newScratch()
 }
 
 func newSolver(p *Prepared, cfg Config) *solver {
@@ -163,7 +177,6 @@ func newSolver(p *Prepared, cfg Config) *solver {
 	for m := range s.allProps {
 		s.allProps[m] = m
 	}
-	s.scratches.New = func() any { return s.newScratch() }
 	s.seq = s.newScratch()
 	return s
 }
@@ -239,10 +252,10 @@ func (s *solver) forShards(fn func(sc *scratch, sh, lo, hi int)) {
 		return
 	}
 	task := func(sh int) {
-		sc := s.scratches.Get().(*scratch)
+		sc := s.getScratch()
 		lo, hi := shardBounds(n, sh, nsh)
 		fn(sc, sh, lo, hi)
-		s.scratches.Put(sc)
+		scratchPool.Put(sc)
 	}
 	if s.pool != nil {
 		s.pool.Do(nsh, w, task)

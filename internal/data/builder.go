@@ -2,6 +2,7 @@ package data
 
 import (
 	"fmt"
+	"maps"
 	"math"
 )
 
@@ -145,6 +146,37 @@ func (b *Builder) NumObjects() int { return len(b.objects) }
 // NumSources returns the number of sources interned so far.
 func (b *Builder) NumSources() int { return len(b.sources) }
 
+// NumProps returns the number of properties interned so far.
+func (b *Builder) NumProps() int { return len(b.props) }
+
+// ObjectName returns the name of object i.
+func (b *Builder) ObjectName(i int) string { return b.objects[i] }
+
+// SourceName returns the name of source k.
+func (b *Builder) SourceName(k int) string { return b.sources[k] }
+
+// Prop returns property m, category dictionary included. The returned
+// pointer must be treated as read-only and not kept across a call that
+// interns a property or a category.
+func (b *Builder) Prop(m int) *Property { return &b.props[m] }
+
+// PropertyIndex returns the index of the named property and whether it
+// has been interned, without interning it.
+func (b *Builder) PropertyIndex(name string) (int, bool) {
+	id, ok := b.propByID[name]
+	return id, ok
+}
+
+// NumRows returns the number of observations recorded so far, repeated
+// (source, entry) pairs included: the rows the next Build replays.
+func (b *Builder) NumRows() int { return len(b.obs) }
+
+// Row returns the ith recorded observation by interned indices.
+func (b *Builder) Row(i int) (source, object, property int, v Value) {
+	o := b.obs[i]
+	return o.src, o.obj, o.prop, o.val
+}
+
 // Build materializes the Dataset. Duplicate observations of the same
 // (source, entry) keep the last value recorded. The Builder remains usable;
 // further observations affect only later Builds.
@@ -157,6 +189,14 @@ func (b *Builder) Build() *Dataset {
 		obs:     make([][]Value, K),
 		present: make([][]bool, K),
 		counts:  make([]int, K),
+	}
+	for m := range d.props {
+		// The dictionaries are copied, not shared: a later CatValue or
+		// ObserveCat must not grow a dictionary a built Dataset reads.
+		if p := &d.props[m]; p.cats != nil {
+			p.cats = append([]string(nil), p.cats...)
+			p.catByID = maps.Clone(p.catByID)
+		}
 	}
 	for k := 0; k < K; k++ {
 		d.obs[k] = make([]Value, N*M)

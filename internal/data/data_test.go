@@ -97,6 +97,37 @@ func TestDuplicateObservationKeepsLast(t *testing.T) {
 	}
 }
 
+// TestBuildCopiesCategoryDictionaries: a built Dataset owns its
+// category dictionaries, so categories the Builder interns afterwards
+// reach only later Builds. Shared dictionaries let a Dataset answer
+// CatID with a code at or beyond its own NumCats.
+func TestBuildCopiesCategoryDictionaries(t *testing.T) {
+	b := NewBuilder()
+	if err := b.ObserveCat("s1", "o1", "cond", "sunny"); err != nil {
+		t.Fatal(err)
+	}
+	d := b.Build()
+	b.CatValue(0, "hail")
+	if err := b.ObserveCat("s2", "o1", "cond", "rain"); err != nil {
+		t.Fatal(err)
+	}
+	p := d.Prop(0)
+	if p.NumCats() != 1 {
+		t.Fatalf("built dataset has %d categories, want 1", p.NumCats())
+	}
+	for _, c := range []string{"hail", "rain"} {
+		if id, ok := p.CatID(c); ok {
+			t.Fatalf("built dataset resolves %q, interned after Build, to code %d (NumCats %d)", c, id, p.NumCats())
+		}
+	}
+	if id, ok := p.CatID("sunny"); !ok || id != 0 || p.CatName(0) != "sunny" {
+		t.Fatalf("CatID(sunny) = %d, %v", id, ok)
+	}
+	if n := b.Build().Prop(0).NumCats(); n != 3 {
+		t.Fatalf("later Build has %d categories, want 3", n)
+	}
+}
+
 func TestForEntryAndObservers(t *testing.T) {
 	d := buildSample(t)
 	e := d.Entry(0, 0) // nyc temp

@@ -159,20 +159,46 @@ func benchResponse(b *testing.B) *ResolveResponse {
 	return resp
 }
 
-// BenchmarkIngest measures the live-ingest path: validate, append to the
-// log, rebuild the snapshot, and advance the warm I-CRH state.
+// BenchmarkIngest measures one live ingest (validate, append to the
+// claim log, build the new version's snapshot, advance the warm I-CRH
+// state) at two preloaded log sizes. Each batch re-claims an existing
+// object from existing sources, so the dataset's shape stays put, and
+// the dataset is recreated with the timer stopped every ingestRecreate
+// batches, so the log stays within that many batches of its preloaded
+// size whatever b.N is.
 func BenchmarkIngest(b *testing.B) {
-	s := benchServer(b)
-	e, _ := s.registry.Get("bench")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		obj := fmt.Sprintf("obj-%d", i)
-		_, err := e.Ingest([]Observation{
-			{Source: "src-a", Object: obj, Property: "high_temp", Value: num(70)},
-			{Source: "src-b", Object: obj, Property: "high_temp", Value: num(75)},
-		})
-		if err != nil {
+	const ingestRecreate = 64
+	for _, days := range []int{20, 200} {
+		d, _ := synth.Weather(synth.WeatherConfig{Seed: 42, Cities: 10, Days: days})
+		var buf bytes.Buffer
+		if err := data.Encode(&buf, d, nil); err != nil {
 			b.Fatal(err)
 		}
+		upload := buf.Bytes()
+		b.Run(fmt.Sprintf("claims=%d", d.NumObservations()), func(b *testing.B) {
+			r := NewRegistry(1)
+			var e *entry
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%ingestRecreate == 0 {
+					b.StopTimer()
+					r.Delete("bench")
+					var err error
+					if e, err = r.Create("bench", bytes.NewReader(upload)); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+				}
+				obj := d.ObjectName(i % d.NumObjects())
+				_, err := e.Ingest([]Observation{
+					{Source: d.SourceName(0), Object: obj, Property: "high_temp", Value: num(70)},
+					{Source: d.SourceName(1), Object: obj, Property: "high_temp", Value: num(75)},
+				}, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

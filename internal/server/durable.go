@@ -65,20 +65,47 @@ func walToRecs(obs []wal.Obs) []obsRec {
 	return out
 }
 
+// walObs regenerates the log's claims as name-keyed WAL observations, in
+// log order: the list recsToWAL made of the records the log was fed.
+func (l *claimLog) walObs() []wal.Obs {
+	b := l.b
+	out := make([]wal.Obs, b.NumRows())
+	for i := range out {
+		src, obj, m, v := b.Row(i)
+		p := b.Prop(m)
+		o := wal.Obs{
+			Source:   b.SourceName(src),
+			Object:   b.ObjectName(obj),
+			Property: p.Name,
+			Kind:     kindOf(p.Type),
+			TS:       l.stamps[i].ts,
+			HasTS:    l.stamps[i].ok,
+		}
+		if p.Type == data.Categorical {
+			o.Cat = p.CatName(int(v.C))
+		} else {
+			o.F = v.F
+		}
+		out[i] = o
+	}
+	return out
+}
+
 // walSnapshot captures the entry's full durable state at the given
-// version: interning orders (sources, properties), the canonical
-// observation log, ground truth, I-CRH processor state, and the warm
-// truth table. Caller holds e.mu or exclusively owns e.
-func (e *entry) walSnapshot(version int64) *wal.Snapshot {
+// version: interning orders (sources, properties), the claim log, ground
+// truth, I-CRH processor state, and the warm truth table. l is e.log;
+// the caller holds e.mu or owns e.
+func (e *entry) walSnapshot(l *claimLog, version int64) *wal.Snapshot {
 	s := &wal.Snapshot{
 		Version: version,
-		Sources: append([]string(nil), e.sources...),
-		Props:   make([]wal.Prop, len(e.props)),
-		Obs:     recsToWAL(e.log),
+		Sources: l.sourceNames(),
+		Props:   make([]wal.Prop, l.b.NumProps()),
+		Obs:     l.walObs(),
 		GT:      make([]wal.Truth, len(e.gt)),
 	}
-	for i, p := range e.props {
-		s.Props[i] = wal.Prop{Name: p.name, Kind: kindOf(p.typ)}
+	for m := range s.Props {
+		p := l.b.Prop(m)
+		s.Props[m] = wal.Prop{Name: p.Name, Kind: kindOf(p.Type)}
 	}
 	for i, g := range e.gt {
 		s.GT[i] = wal.Truth{Object: g.obj, Property: g.prop, Kind: kindOf(g.typ), F: g.f, Cat: g.cat}
@@ -140,22 +167,22 @@ func (r *Registry) recoverDataset(name string) (*entry, error) {
 	e := &entry{
 		name:       name,
 		uid:        r.nextUID.Add(1),
-		srcSet:     make(map[string]int),
-		propSet:    make(map[string]data.Type),
+		log:        newClaimLog(),
 		warmTruths: make(map[warmKey]warmVal),
 		snapEvery:  r.snapshotEvery,
 		lastSnap:   snap.Version,
 	}
 	// Interning orders must be restored exactly as captured — the I-CRH
-	// weight vector is positional, and rebuild/buildChunk emit sources
-	// and properties in interning order.
+	// weight vector is positional, and snapshots and chunks emit sources
+	// and properties in interning order. The claims then take the ingest
+	// append path, which interns objects and categories in log order.
 	for _, s := range snap.Sources {
-		e.internSource(s)
+		e.log.b.Source(s)
 	}
 	for _, p := range snap.Props {
-		e.internProp(p.Name, typeOf(p.Kind))
+		e.log.b.MustProperty(p.Name, typeOf(p.Kind))
 	}
-	e.log = walToRecs(snap.Obs)
+	e.log.add(walToRecs(snap.Obs))
 	e.gt = make([]gtRec, len(snap.GT))
 	for i, g := range snap.GT {
 		e.gt[i] = gtRec{obj: g.Object, prop: g.Property, typ: typeOf(g.Kind), f: g.F, cat: g.Cat}
@@ -167,11 +194,11 @@ func (r *Registry) recoverDataset(name string) (*entry, error) {
 			e.warmTruths[warmKey{w.Object, w.Property}] = warmVal{typ: typeOf(w.Kind), f: w.F, cat: w.Cat}
 		}
 		e.warmWeights = append([]float64(nil), snap.Weights...)
-		e.warmSources = append([]string(nil), e.sources...)
+		e.warmSources = e.log.sourceNames()
 		e.chunks = snap.Chunks
 	}
 	e.warmVersion = snap.Version // not yet published; no lock needed
-	e.snap.Store(e.rebuild(snap.Version))
+	e.publish(e.log, snap.Version)
 
 	for _, b := range batches {
 		want := e.snap.Load().Version + 1
@@ -180,7 +207,7 @@ func (r *Registry) recoverDataset(name string) (*entry, error) {
 			_ = dl.Close()
 			return nil, fmt.Errorf("%w: WAL batch version %d, want %d", wal.ErrCorrupt, b.Version, want)
 		}
-		e.apply(walToRecs(b.Obs), b.Version)
+		e.apply(e.log, walToRecs(b.Obs), b.Version, nil)
 	}
 	e.dlog = dl
 	return e, nil

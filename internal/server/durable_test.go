@@ -47,7 +47,7 @@ func ingestN(t *testing.T, e *entry, n int) int64 {
 		v, err := e.Ingest([]Observation{
 			{Source: "s1", Object: fmt.Sprintf("o%d", i%3), Property: "temp", Value: num(float64(i) * 1.25)},
 			{Source: "s2", Object: fmt.Sprintf("o%d", i%3), Property: "cond", Value: str([]string{"sunny", "rain"}[i%2])},
-		})
+		}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +137,7 @@ func TestDurableRecoveryBitExact(t *testing.T) {
 			// must match a server that never restarted.
 			if _, err := e2.Ingest([]Observation{
 				{Source: "s9", Object: "o9", Property: "temp", Value: num(7)},
-			}); err != nil {
+			}, nil); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -207,12 +207,12 @@ func TestDurableDeleteReleasesEverything(t *testing.T) {
 		t.Fatalf("on-disk state survives delete: %v", err)
 	}
 	// Stale handle: the entry was fetched before the delete.
-	if _, err := e.Ingest([]Observation{{Source: "s", Object: "o", Property: "p", Value: num(1)}}); !errors.Is(err, errNotFound) {
+	if _, err := e.Ingest([]Observation{{Source: "s", Object: "o", Property: "p", Value: num(1)}}, nil); !errors.Is(err, errNotFound) {
 		t.Fatalf("ingest on deleted entry: %v, want errNotFound", err)
 	}
-	// The released entry must not pin its log or interning tables.
+	// The released entry must not pin its claim log or ground truth.
 	e.mu.Lock()
-	if e.log != nil || e.srcSet != nil || e.proc != nil {
+	if e.log != nil || e.gt != nil || e.proc != nil {
 		t.Error("delete left entry resources live")
 	}
 	e.mu.Unlock()

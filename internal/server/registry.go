@@ -17,6 +17,7 @@ import (
 
 	"github.com/crhkit/crh/internal/core"
 	"github.com/crhkit/crh/internal/data"
+	"github.com/crhkit/crh/internal/obs"
 	"github.com/crhkit/crh/internal/stream"
 	"github.com/crhkit/crh/internal/wal"
 )
@@ -29,8 +30,9 @@ type Snapshot struct {
 	Version int64
 	// Data is the materialized dataset. Immutable.
 	Data *data.Dataset
-	// GT is the ground truth loaded with the dataset, nil when none.
-	GT *data.Table
+	// HasTruth reports whether a ground truth was uploaded with the
+	// dataset.
+	HasTruth bool
 
 	// prepared lazily freezes Data's columnar solver view on the first
 	// CRH resolve and shares it with every later resolve of this
@@ -47,10 +49,9 @@ func (s *Snapshot) Prepared() *core.Prepared {
 	return s.prepared
 }
 
-// obsRec is one observation in an entry's append-only log — the canonical
-// record everything else (snapshots, chunks) is rebuilt from. Values are
-// held by name/raw value so each rebuild produces a fully independent
-// Dataset sharing no mutable state with earlier snapshots.
+// obsRec is one validated ingest observation, by name: the form a batch
+// takes between validation, its WAL record (recsToWAL) and its append to
+// the entry's claim log.
 type obsRec struct {
 	src, obj, prop string
 	typ            data.Type
@@ -60,8 +61,7 @@ type obsRec struct {
 	hasTS          bool
 }
 
-// gtRec is one ground-truth value, kept by name so it can be re-anchored
-// after ingest changes the dataset's shape.
+// gtRec is one ground-truth value, kept by name for WAL checkpoints.
 type gtRec struct {
 	obj, prop string
 	typ       data.Type
@@ -69,17 +69,33 @@ type gtRec struct {
 	cat       string
 }
 
-type propDecl struct {
-	name string
-	typ  data.Type
+// stamp is one logged claim's timestamp, if it carried one. The builder
+// keeps only each object's latest timestamp; checkpoints need every
+// claim's own.
+type stamp struct {
+	ts int
+	ok bool
 }
+
+// claimLog is a dataset's append-only claim log, interned. One
+// long-lived data.Builder holds the name tables (sources, properties,
+// objects and each property's categories, all in first-mention order)
+// and one row per claim; stamps[i] is row i's timestamp. Appending a
+// batch hashes only that batch's names, and a version's snapshot is one
+// Build, which shares nothing mutable with the log.
+type claimLog struct {
+	b      *data.Builder
+	stamps []stamp
+}
+
+func newClaimLog() *claimLog { return &claimLog{b: data.NewBuilder()} }
 
 // entry is one named dataset. Two lock domains keep resolves wait-free
 // with respect to ingest:
 //
-//   - mu serializes mutations (ingest, which appends to the log, rebuilds
-//     the snapshot, and advances the I-CRH processor). Resolves never
-//     acquire it.
+//   - mu serializes mutations (ingest, which appends to the claim log,
+//     builds the new snapshot, and advances the I-CRH processor).
+//     Resolves never acquire it.
 //   - snap is the copy-on-write snapshot pointer resolves read.
 //   - warmMu guards the warm incremental truths/weights, written briefly
 //     at the end of each ingest and read by the incremental endpoint.
@@ -89,14 +105,14 @@ type entry struct {
 	// cache keys of a deleted-then-recreated name can never collide.
 	uid int64
 
-	mu      sync.Mutex
-	log     []obsRec
-	gt      []gtRec
-	sources []string
-	srcSet  map[string]int
-	props   []propDecl
-	propSet map[string]data.Type
-	proc    *stream.Processor
+	mu sync.Mutex
+	// log is the interned claim log. Methods that run under mu take it
+	// as a parameter, read from e.log by a caller that holds mu or owns
+	// a not yet published entry.
+	// crh:guardedby mu
+	log  *claimLog
+	gt   []gtRec
+	proc *stream.Processor
 	// deleted marks an entry removed from the registry; ingest on a
 	// stale handle must not resurrect it (or its on-disk state).
 	// crh:guardedby mu
@@ -198,14 +214,14 @@ func (r *Registry) Create(name string, src io.Reader) (*entry, error) {
 	e := &entry{
 		name:       name,
 		uid:        r.nextUID.Add(1),
-		srcSet:     make(map[string]int),
-		propSet:    make(map[string]data.Type),
+		log:        newClaimLog(),
+		gt:         truthRecs(d, gt),
 		warmTruths: make(map[warmKey]warmVal),
 		proc:       stream.NewProcessor(d.NumSources(), r.streamCfg),
 		snapEvery:  r.snapshotEvery,
 	}
-	e.absorb(d, gt)
-	e.snap.Store(e.rebuild(1))
+	e.log.absorb(d)
+	e.publish(e.log, 1)
 	e.warmVersion = 1 // not yet published; no lock needed
 
 	r.mu.Lock()
@@ -214,7 +230,7 @@ func (r *Registry) Create(name string, src io.Reader) (*entry, error) {
 		return nil, errExists
 	}
 	if r.store != nil {
-		dl, err := r.store.Create(name, e.walSnapshot(1))
+		dl, err := r.store.Create(name, e.walSnapshot(e.log, 1))
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", errDurable, err)
 		}
@@ -225,113 +241,101 @@ func (r *Registry) Create(name string, src io.Reader) (*entry, error) {
 	return e, nil
 }
 
-// absorb flattens a decoded dataset (and optional ground truth) into the
-// entry's canonical log. Caller holds no locks; the entry is not yet
-// published.
-func (e *entry) absorb(d *data.Dataset, gt *data.Table) {
-	for k := 0; k < d.NumSources(); k++ {
-		e.internSource(d.SourceName(k))
+// truthRecs flattens an uploaded ground truth (nil when none) by name.
+func truthRecs(d *data.Dataset, gt *data.Table) []gtRec {
+	if gt == nil {
+		return nil
 	}
-	for m := 0; m < d.NumProps(); m++ {
-		p := d.Prop(m)
-		e.internProp(p.Name, p.Type)
-	}
+	var out []gtRec
 	for i := 0; i < d.NumObjects(); i++ {
 		for m := 0; m < d.NumProps(); m++ {
+			v, ok := gt.Get(d.Entry(i, m))
+			if !ok {
+				continue
+			}
 			p := d.Prop(m)
-			en := d.Entry(i, m)
-			d.ForEntry(en, func(k int, v data.Value) {
-				rec := obsRec{
-					src:  d.SourceName(k),
-					obj:  d.ObjectName(i),
-					prop: p.Name,
-					typ:  p.Type,
+			g := gtRec{obj: d.ObjectName(i), prop: p.Name, typ: p.Type}
+			if p.Type == data.Categorical {
+				g.cat = p.CatName(int(v.C))
+			} else {
+				g.f = v.F
+			}
+			out = append(out, g)
+		}
+	}
+	return out
+}
+
+// absorb appends a decoded upload: every source and property first,
+// claimless ones included, then object by object, property by property,
+// each entry's claims in source order. Objects and categories intern at
+// their first claim, so ones only the ground truth names stay out.
+func (l *claimLog) absorb(d *data.Dataset) {
+	b := l.b
+	srcID := make([]int, d.NumSources())
+	for k := range srcID {
+		srcID[k] = b.Source(d.SourceName(k))
+	}
+	propID := make([]int, d.NumProps())
+	for m := range propID {
+		propID[m] = b.MustProperty(d.Prop(m).Name, d.Prop(m).Type)
+	}
+	for i := 0; i < d.NumObjects(); i++ {
+		st := stamp{ts: d.Timestamp(i), ok: d.HasTimestamps()}
+		obj := -1
+		for m := 0; m < d.NumProps(); m++ {
+			p, pid := d.Prop(m), propID[m]
+			d.ForEntry(d.Entry(i, m), func(k int, v data.Value) {
+				if obj < 0 {
+					obj = b.Object(d.ObjectName(i))
+					if st.ok {
+						b.SetTimestampIdx(obj, st.ts)
+					}
 				}
 				if p.Type == data.Categorical {
-					rec.cat = p.CatName(int(v.C))
-				} else {
-					rec.f = v.F
+					v = data.Cat(b.CatValue(pid, p.CatName(int(v.C))))
 				}
-				if d.HasTimestamps() {
-					rec.ts, rec.hasTS = d.Timestamp(i), true
-				}
-				e.log = append(e.log, rec)
+				b.ObserveIdx(srcID[k], obj, pid, v)
+				l.stamps = append(l.stamps, st)
 			})
-			if gt != nil {
-				if v, ok := gt.Get(en); ok {
-					g := gtRec{obj: d.ObjectName(i), prop: p.Name, typ: p.Type}
-					if p.Type == data.Categorical {
-						g.cat = p.CatName(int(v.C))
-					} else {
-						g.f = v.F
-					}
-					e.gt = append(e.gt, g)
-				}
-			}
 		}
 	}
 }
 
-func (e *entry) internSource(name string) int {
-	if id, ok := e.srcSet[name]; ok {
-		return id
+// add interns a validated batch's names and appends its rows. The batch
+// passed validateBatch and checkTypes, so no property changes type.
+func (l *claimLog) add(recs []obsRec) {
+	b := l.b
+	for _, r := range recs {
+		src := b.Source(r.src)
+		pid := b.MustProperty(r.prop, r.typ)
+		obj := b.Object(r.obj)
+		if r.hasTS {
+			b.SetTimestampIdx(obj, r.ts)
+		}
+		v := data.Float(r.f)
+		if r.typ == data.Categorical {
+			v = data.Cat(b.CatValue(pid, r.cat))
+		}
+		b.ObserveIdx(src, obj, pid, v)
+		l.stamps = append(l.stamps, stamp{ts: r.ts, ok: r.hasTS})
 	}
-	id := len(e.sources)
-	e.sources = append(e.sources, name)
-	e.srcSet[name] = id
-	return id
 }
 
-func (e *entry) internProp(name string, t data.Type) {
-	if _, ok := e.propSet[name]; !ok {
-		e.props = append(e.props, propDecl{name, t})
-		e.propSet[name] = t
+// sourceNames returns the interned source names in interning order,
+// which is the order of the I-CRH processor's weight vector.
+func (l *claimLog) sourceNames() []string {
+	out := make([]string, l.b.NumSources())
+	for k := range out {
+		out[k] = l.b.SourceName(k)
 	}
+	return out
 }
 
-// rebuild materializes a fresh snapshot at the given version by replaying
-// the log into a brand-new builder. The result shares no mutable state
-// (category dictionaries, interning maps) with any previous snapshot, so
-// earlier snapshots stay safe for concurrent readers. Caller must hold
-// e.mu (or exclusively own e).
-func (e *entry) rebuild(version int64) *Snapshot {
-	b := data.NewBuilder()
-	for _, s := range e.sources {
-		b.Source(s)
-	}
-	propIdx := make(map[string]int, len(e.props))
-	for _, p := range e.props {
-		propIdx[p.name] = b.MustProperty(p.name, p.typ)
-	}
-	for _, o := range e.log {
-		obj := b.Object(o.obj)
-		if o.hasTS {
-			b.SetTimestampIdx(obj, o.ts)
-		}
-		pid := propIdx[o.prop]
-		var v data.Value
-		if o.typ == data.Categorical {
-			v = data.Cat(b.CatValue(pid, o.cat))
-		} else {
-			v = data.Float(o.f)
-		}
-		b.ObserveIdx(b.Source(o.src), obj, pid, v)
-	}
-	d := b.Build()
-	var gt *data.Table
-	if len(e.gt) > 0 {
-		gt = data.NewTableFor(d)
-		for _, g := range e.gt {
-			obj := b.Object(g.obj) // all gt objects appear in the log
-			pid := propIdx[g.prop]
-			if g.typ == data.Categorical {
-				gt.SetAt(obj, pid, data.Cat(b.CatValue(pid, g.cat)))
-			} else {
-				gt.SetAt(obj, pid, data.Float(g.f))
-			}
-		}
-	}
-	return &Snapshot{Version: version, Data: d, GT: gt}
+// publish installs the log's current contents as the snapshot at
+// version. l is e.log; the caller holds e.mu or owns e.
+func (e *entry) publish(l *claimLog, version int64) {
+	e.snap.Store(&Snapshot{Version: version, Data: l.b.Build(), HasTruth: len(e.gt) > 0})
 }
 
 // Observation is one ingested observation, as posted to
@@ -359,7 +363,10 @@ type Observation struct {
 // acknowledged once it would survive a crash — and every snapEvery
 // batches the entry checkpoints a snapshot, retiring covered WAL
 // segments. Returns the new version.
-func (e *entry) Ingest(batch []Observation) (int64, error) {
+//
+// sp, which may be nil, receives the validate, wal, apply and icrh
+// stages; validate includes the wait for the entry's lock.
+func (e *entry) Ingest(batch []Observation, sp *obs.Span) (int64, error) {
 	recs, err := validateBatch(batch)
 	if err != nil {
 		return 0, err
@@ -369,30 +376,33 @@ func (e *entry) Ingest(batch []Observation) (int64, error) {
 	if e.deleted {
 		return 0, errNotFound
 	}
-	if err := e.validateTypes(recs); err != nil {
+	if err := e.log.checkTypes(recs); err != nil {
 		return 0, err
 	}
+	sp.Mark(ingestValidate)
 	version := e.snap.Load().Version + 1
 	if e.dlog != nil {
 		if err := e.dlog.AppendBatch(version, recsToWAL(recs)); err != nil {
 			return 0, fmt.Errorf("%w: %v", errDurable, err)
 		}
+		sp.Mark(ingestWAL)
 	}
-	e.apply(recs, version)
+	e.apply(e.log, recs, version, sp)
 	if e.dlog != nil && e.snapEvery > 0 && version-e.lastSnap >= int64(e.snapEvery) {
 		// Snapshot failure is non-fatal: the batch is already durable in
 		// the WAL, the checkpoint just retries at the next boundary.
-		if err := e.dlog.WriteSnapshot(e.walSnapshot(version)); err == nil {
+		if err := e.dlog.WriteSnapshot(e.walSnapshot(e.log, version)); err == nil {
 			e.lastSnap = version
 		}
+		sp.Mark(ingestWAL)
 	}
 	return version, nil
 }
 
 // validateBatch performs the lock-free part of ingest validation: shape,
 // value typing, and intra-batch property-type consistency. Cross-checking
-// against the entry's committed property types happens under e.mu in
-// validateTypes.
+// against the log's committed property types happens under e.mu in
+// claimLog.checkTypes.
 func validateBatch(batch []Observation) ([]obsRec, error) {
 	if len(batch) == 0 {
 		return nil, fmt.Errorf("empty observation batch")
@@ -428,32 +438,32 @@ func validateBatch(batch []Observation) ([]obsRec, error) {
 	return recs, nil
 }
 
-// validateTypes rejects a batch whose property types conflict with the
-// entry's committed declarations. Caller holds e.mu.
-func (e *entry) validateTypes(recs []obsRec) error {
+// checkTypes rejects a batch whose property types conflict with the
+// log's committed declarations.
+func (l *claimLog) checkTypes(recs []obsRec) error {
 	for i, rec := range recs {
-		if want, known := e.propSet[rec.prop]; known && want != rec.typ {
-			return fmt.Errorf("observation %d: property %q is %v, got %v value", i, rec.prop, want, rec.typ)
+		if m, known := l.b.PropertyIndex(rec.prop); known {
+			if want := l.b.Prop(m).Type; want != rec.typ {
+				return fmt.Errorf("observation %d: property %q is %v, got %v value", i, rec.prop, want, rec.typ)
+			}
 		}
 	}
 	return nil
 }
 
 // apply commits an already-validated batch at the given version: it
-// extends the interning registries, appends the log, installs the new
-// snapshot, and advances the incremental processor. This is the single
-// code path for both live ingest and WAL replay, which is what makes
-// recovery bit-for-bit identical to the uncrashed process. Caller holds
-// e.mu.
-func (e *entry) apply(recs []obsRec, version int64) {
-	for _, rec := range recs {
-		e.internSource(rec.src)
-		e.internProp(rec.prop, rec.typ)
-	}
-	e.log = append(e.log, recs...)
-	e.snap.Store(e.rebuild(version))
+// appends the batch to the claim log, installs the new snapshot, and
+// advances the incremental processor. This is the single code path for
+// both live ingest and WAL replay, which is what makes recovery
+// bit-for-bit identical to the uncrashed process. l is e.log; the caller
+// holds e.mu or owns e. sp, which may be nil, receives the apply and
+// icrh stages.
+func (e *entry) apply(l *claimLog, recs []obsRec, version int64, sp *obs.Span) {
+	l.add(recs)
+	e.publish(l, version)
+	sp.Mark(ingestApply)
 
-	chunk := e.buildChunk(recs, int(version))
+	chunk := l.chunk(recs, int(version))
 	truths := e.proc.Process(chunk)
 	weights := e.proc.Weights()
 
@@ -476,28 +486,30 @@ func (e *entry) apply(recs []obsRec, version int64) {
 		}
 	}
 	e.warmWeights = weights
-	e.warmSources = append([]string(nil), e.sources...)
+	e.warmSources = l.sourceNames()
 	e.chunks++
 	// Recorded inside the same critical section as the truths/weights it
 	// describes, so a WarmState reader can never pair this batch's
 	// version with an earlier batch's state (or vice versa).
 	e.warmVersion = version
 	e.warmMu.Unlock()
+	sp.Mark(ingestICRH)
 }
 
-// buildChunk materializes the batch as an I-CRH chunk. All sources and
+// chunk materializes the batch as an I-CRH chunk. All sources and
 // properties known so far are interned first, in global order, so the
 // processor's per-source state stays aligned across chunks (the same
 // contract stream.TSVStream documents). defaultTS stamps observations
-// that carry no explicit timestamp. Caller holds e.mu.
-func (e *entry) buildChunk(recs []obsRec, defaultTS int) *data.Dataset {
+// that carry no explicit timestamp.
+func (l *claimLog) chunk(recs []obsRec, defaultTS int) *data.Dataset {
 	b := data.NewBuilder()
-	for _, s := range e.sources {
-		b.Source(s)
+	for k := 0; k < l.b.NumSources(); k++ {
+		b.Source(l.b.SourceName(k))
 	}
-	propIdx := make(map[string]int, len(e.props))
-	for _, p := range e.props {
-		propIdx[p.name] = b.MustProperty(p.name, p.typ)
+	propIdx := make(map[string]int, l.b.NumProps())
+	for m := 0; m < l.b.NumProps(); m++ {
+		p := l.b.Prop(m)
+		propIdx[p.Name] = b.MustProperty(p.Name, p.Type)
 	}
 	for _, o := range recs {
 		obj := b.Object(o.obj)
@@ -564,7 +576,7 @@ func (r *Registry) Get(name string) (*entry, bool) {
 }
 
 // Delete removes name from the registry, releases the entry's resources
-// (observation log, interning tables, warm I-CRH state, WAL handle), and
+// (claim log, ground truth, warm I-CRH state, WAL handle), and
 // removes its on-disk state in durable mode. Inflight resolves holding
 // the entry's snapshot finish unaffected — the snapshot pointer stays
 // valid — but later ingest through a stale handle reports not-found.
@@ -582,8 +594,6 @@ func (r *Registry) Delete(name string) (bool, error) {
 	e.mu.Lock()
 	e.deleted = true
 	e.log, e.gt = nil, nil
-	e.sources, e.srcSet = nil, nil
-	e.props, e.propSet = nil, nil
 	e.proc = nil
 	dlog := e.dlog
 	e.dlog = nil
@@ -637,7 +647,7 @@ func (e *entry) Info() DatasetInfo {
 		Objects:      s.Data.NumObjects(),
 		Properties:   s.Data.NumProps(),
 		Observations: s.Data.NumObservations(),
-		HasTruth:     s.GT != nil,
+		HasTruth:     s.HasTruth,
 		Chunks:       chunks,
 	}
 }

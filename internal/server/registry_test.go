@@ -102,7 +102,7 @@ func TestIngestVersionsAndSnapshotIsolation(t *testing.T) {
 	v, err := e.Ingest([]Observation{
 		{Source: "s3", Object: "o3", Property: "temp", Value: num(30)},
 		{Source: "s3", Object: "o3", Property: "cond", Value: str("hail")},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,8 +121,8 @@ func TestIngestVersionsAndSnapshotIsolation(t *testing.T) {
 	if err := snap2.Data.Validate(); err != nil {
 		t.Fatalf("rebuilt dataset invalid: %v", err)
 	}
-	// Ground truth survives the rebuild.
-	if snap2.GT == nil {
+	// Ground truth survives the ingest.
+	if !snap2.HasTruth {
 		t.Fatal("ground truth lost after ingest")
 	}
 
@@ -197,7 +197,7 @@ func TestIngestRejectsAtomically(t *testing.T) {
 		}},
 	}
 	for _, tc := range cases {
-		if _, err := e.Ingest(tc.batch); err == nil {
+		if _, err := e.Ingest(tc.batch, nil); err == nil {
 			t.Errorf("%s: no error", tc.name)
 		}
 	}
@@ -240,7 +240,7 @@ func TestWarmStateMatchesDirectProcessor(t *testing.T) {
 		},
 	}
 	for _, b := range batches {
-		if _, err := e.Ingest(b); err != nil {
+		if _, err := e.Ingest(b, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -323,8 +323,10 @@ func TestConcurrentIngestAndResolve(t *testing.T) {
 				_, err := e.Ingest([]Observation{
 					{Source: "s1", Object: obj, Property: "temp", Value: num(float64(i))},
 					{Source: "s2", Object: obj, Property: "temp", Value: num(float64(i + 1))},
-					{Source: "s2", Object: obj, Property: "cond", Value: str("x")},
-				})
+					// A new category every round: readers of earlier
+					// snapshots must never see the log's dictionary grow.
+					{Source: "s2", Object: obj, Property: "cond", Value: str(obj)},
+				}, nil)
 				if err != nil {
 					t.Errorf("ingest: %v", err)
 					return
@@ -341,6 +343,15 @@ func TestConcurrentIngestAndResolve(t *testing.T) {
 				if _, err := core.Run(snap.Data, core.Config{}); err != nil {
 					t.Errorf("resolve: %v", err)
 					return
+				}
+				for m := 0; m < snap.Data.NumProps(); m++ {
+					p := snap.Data.Prop(m)
+					for c := 0; c < p.NumCats(); c++ {
+						if id, ok := p.CatID(p.CatName(c)); !ok || id != c {
+							t.Errorf("version %d: category %d of %s resolves to %d, %v", snap.Version, c, p.Name, id, ok)
+							return
+						}
+					}
 				}
 				if _, _, _, chunks := e.WarmState(); chunks < 0 {
 					t.Error("negative chunks")
@@ -384,7 +395,7 @@ func TestConcurrentWarmStateVersion(t *testing.T) {
 		for i := 0; i < rounds; i++ {
 			_, err := e.Ingest([]Observation{
 				{Source: "s1", Object: "o1", Property: "temp", Value: num(float64(i))},
-			})
+			}, nil)
 			if err != nil {
 				t.Errorf("ingest: %v", err)
 				return

@@ -320,6 +320,10 @@ type ingestRequest struct {
 }
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
+	// Like resolve's span, error paths just release it: the stage
+	// histograms describe applied batches.
+	sp := obs.StartSpan()
+	defer sp.Release()
 	e, ok := s.registry.Get(r.PathValue("name"))
 	if !ok {
 		writeError(w, http.StatusNotFound, "dataset %q not found", r.PathValue("name"))
@@ -330,7 +334,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "decode observations: %v", err)
 		return
 	}
-	version, err := e.Ingest(req.Observations)
+	sp.Mark(ingestDecode)
+	version, err := e.Ingest(req.Observations, sp)
 	switch {
 	case errors.Is(err, errNotFound):
 		// The handle was fetched before a concurrent delete landed.
@@ -345,6 +350,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	s.stats.ingests.Add(1)
 	s.stats.observations.Add(int64(len(req.Observations)))
+	s.stats.observeIngestSpan(sp)
 	writeJSON(w, http.StatusOK, map[string]any{
 		"dataset":  e.name,
 		"version":  version,

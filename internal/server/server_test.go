@@ -127,6 +127,27 @@ func TestDatasetLifecycle(t *testing.T) {
 	}
 }
 
+// TestCreateTruthForClaimlessObject: a ground-truth row may name an
+// object, and a category, that no claim mentions. The upload is
+// accepted, and neither name reaches the served dataset: objects and
+// categories are interned from claims only.
+func TestCreateTruthForClaimlessObject(t *testing.T) {
+	s, ts := testServer(t)
+	var info DatasetInfo
+	code := doJSON(t, "POST", ts.URL+"/v1/datasets/d", strings.NewReader(testTSV+"T\to9\tcond\thail\n"), &info)
+	if code != http.StatusCreated {
+		t.Fatalf("create: status %d", code)
+	}
+	if !info.HasTruth || info.Objects != 2 || info.Observations != 8 {
+		t.Fatalf("info = %+v", info)
+	}
+	e, _ := s.registry.Get("d")
+	cond := e.Snapshot().Data.Prop(1)
+	if id, ok := cond.CatID("hail"); ok {
+		t.Fatalf("unclaimed category resolves to code %d of %d", id, cond.NumCats())
+	}
+}
+
 // checkTruthsMatch asserts the response truths equal a direct run's table.
 func checkTruthsMatch(t *testing.T, d *data.Dataset, want *data.Table, got []TruthJSON) {
 	t.Helper()
@@ -670,6 +691,36 @@ func TestResolveStageInstrumentation(t *testing.T) {
 	}
 	if t.Failed() {
 		t.Logf("exposition:\n%s", body)
+	}
+}
+
+// TestIngestStageInstrumentation: one durable ingest through the
+// handler populates every ingest stage histogram exactly once.
+func TestIngestStageInstrumentation(t *testing.T) {
+	s := durableServer(t, t.TempDir(), Config{})
+	defer mustClose(t, s)
+	if _, err := s.registry.Create("d", strings.NewReader(testTSV)); err != nil {
+		t.Fatal(err)
+	}
+	body := `{"observations":[{"source":"s3","object":"o3","property":"temp","value":30}]}`
+	req := httptest.NewRequest("POST", "/v1/datasets/d/observations", strings.NewReader(body))
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("ingest: status %d: %s", rec.Code, rec.Body.Bytes())
+	}
+	var exp strings.Builder
+	if err := s.metrics.WritePrometheus(&exp); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range ingestStageNames {
+		want := `crhd_ingest_stage_seconds_count{stage="` + name + `"} 1`
+		if !strings.Contains(exp.String(), want) {
+			t.Errorf("metrics missing %q", want)
+		}
+	}
+	if t.Failed() {
+		t.Logf("exposition:\n%s", exp.String())
 	}
 }
 

@@ -38,6 +38,22 @@ const NumStages = int(numStages)
 // StageNames names the resolve stages, indexed like StageTimings.Stages.
 var StageNames = [NumStages]string{"decode", "cache", "coalesce", "queue", "solve", "encode"}
 
+// Stages of the ingest pipeline, in request order. Every successful
+// ingest carries an obs.Span whose per-stage durations feed the
+// crhd_ingest_stage_seconds{stage=...} histograms. A memory-only server
+// has no wal stage.
+const (
+	ingestDecode   obs.Stage = iota // path lookup and body decode
+	ingestValidate                  // batch validation, including the wait for the dataset's lock
+	ingestWAL                       // WAL append, plus the checkpoint every SnapshotEvery batches
+	ingestApply                     // claim-log append and the new version's snapshot build
+	ingestICRH                      // the batch's I-CRH chunk and the warm-state update
+	numIngestStages
+)
+
+// ingestStageNames names the ingest stages, indexed by the constants.
+var ingestStageNames = [numIngestStages]string{"decode", "validate", "wal", "apply", "icrh"}
+
 // StageTimings is one sampled resolve request's stage breakdown, handed
 // to Config.StageLog. Stages not traversed by the request (coalesce on
 // a leader, solve on a cache hit) are zero.
@@ -73,8 +89,9 @@ type Stats struct {
 	coalesceLeaders   *obs.Counter
 	coalesceFollowers *obs.Counter
 
-	resolveLatency *obs.Histogram
-	stageHists     [numStages]*obs.Histogram
+	resolveLatency   *obs.Histogram
+	stageHists       [numStages]*obs.Histogram
+	ingestStageHists [numIngestStages]*obs.Histogram
 
 	// stageEvery samples the per-request stage log (log every Nth
 	// resolve; 0 = off); stageSeq is the sampling counter and stageLog
@@ -105,6 +122,11 @@ func NewStats(reg *obs.Registry) *Stats {
 		s.stageHists[st] = reg.NewHistogram(
 			`crhd_stage_seconds{stage="`+StageNames[st]+`"}`,
 			"per-request resolve latency by pipeline stage", latencyBounds)
+	}
+	for st := obs.Stage(0); st < numIngestStages; st++ {
+		s.ingestStageHists[st] = reg.NewHistogram(
+			`crhd_ingest_stage_seconds{stage="`+ingestStageNames[st]+`"}`,
+			"per-request ingest latency by pipeline stage", latencyBounds)
 	}
 	reg.NewGaugeFunc("crhd_uptime_seconds", "seconds since the server started", func() float64 {
 		return time.Since(s.start).Seconds()
@@ -149,6 +171,16 @@ func (s *Stats) observeSpan(sp *obs.Span, dataset string, cached, coalesced bool
 			rec.Stages[st] = sp.Stage(st)
 		}
 		s.stageLog(rec)
+	}
+}
+
+// observeIngestSpan folds one successful ingest's span into the ingest
+// stage histograms, skipping stages the request did not traverse.
+func (s *Stats) observeIngestSpan(sp *obs.Span) {
+	for st := obs.Stage(0); st < numIngestStages; st++ {
+		if d := sp.Stage(st); d > 0 {
+			s.ingestStageHists[st].ObserveDuration(d)
+		}
 	}
 }
 

@@ -22,20 +22,25 @@
 #                      per-stage latency histograms (docs/LOAD.md)
 #   8. allocation pins the AllocsPerRun pins on the resolve encode /
 #                      cached-bytes serve paths and the solver's
-#                      zero-allocation-per-iteration contract, on their
-#                      own so an allocation regression in either hot
-#                      path is named in the logs (the golden
-#                      byte-equality suite already ran inside make check)
-#   9. coverage floor  go test -coverprofile over the solver and data
+#                      zero-allocation-per-iteration contract, plus the
+#                      memory pins (a finished multi-worker run keeps no
+#                      Prepared reachable; a built Dataset owns its
+#                      category dictionaries), on their own so a
+#                      regression in either hot path is named in the logs
+#                      (the golden byte-equality suite already ran inside
+#                      make check)
+#   9. perfbench       vet and unit tests of the benchmark program, its
+#                      own Go module, which ./... above does not reach
+#  10. coverage floor  go test -coverprofile over the solver and data
 #                      layers; fails if combined statement coverage of
 #                      internal/core + internal/data + internal/col
 #                      falls below the floor, and archives the profile
 #                      under results/coverage.out
-#  10. lint self-check every analyzer crhlint -list reports must have a
+#  11. lint self-check every analyzer crhlint -list reports must have a
 #                      golden testdata package, and the full -json report
 #                      (suppressed findings included) is archived under
 #                      results/lint-report.json as the audit record
-#  11. gofmt -l        fails if any tracked Go file is unformatted
+#  12. gofmt -l        fails if any tracked Go file is unformatted
 #
 # Exits non-zero on the first failure.
 
@@ -64,9 +69,13 @@ make fuzz FUZZTIME=5s
 echo "==> loadcheck (serve-path smoke)"
 make loadcheck
 
-echo "==> allocation pins (encode + solver iterations)"
+echo "==> allocation and memory pins (encode, solver iterations, run retention, dictionary copies)"
 go test -run 'TestEncodeAllocs' -count=1 ./internal/server/
-go test -run 'TestSolverIterationAllocFree|TestSolverRunReusesPrepared' -count=1 ./internal/core/
+go test -run 'TestSolverIterationAllocFree|TestSolverRunReusesPrepared|TestParallelRunReleasesPrepared' -count=1 ./internal/core/
+go test -run 'TestBuildCopiesCategoryDictionaries' -count=1 ./internal/data/
+
+echo "==> perfbench (vet + unit tests)"
+go -C perfbench vet ./... && go -C perfbench test ./...
 
 echo "==> coverage floor (solver + data layers)"
 mkdir -p results
