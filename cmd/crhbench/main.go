@@ -38,8 +38,9 @@
 // sequentially and once at an 8-worker budget, verifying the two are
 // bit-for-bit identical, and — with -json — writing one
 // BENCH_scale-<tier>.json per tier with seq_wall_ns and speedup fields.
-// The speedup only reflects hardware parallelism when gomaxprocs
-// exceeds 1; the record pins gomaxprocs so CI can tell.
+// A speedup is only meaningful when every worker has a CPU, so it is
+// recorded only when gomaxprocs ≥ the worker budget; otherwise the
+// record omits it and the sweep prints n/a.
 package main
 
 import (
@@ -104,10 +105,10 @@ type benchRecord struct {
 	Fsync     string  `json:"fsync,omitempty"` // see ObsPerSec
 	// SeqWallNs and Speedup appear on scale-sweep records
 	// (BENCH_scale-<tier>.json): the sequential (workers=1) wall time of
-	// the same solve, and the ratio seq/parallel. Speedup only reflects
-	// hardware parallelism when GoMaxProcs exceeds 1 — on a single-CPU
-	// runner the parallel run still exercises the full work-stealing
-	// path but its wall time hovers around the sequential one.
+	// the same solve, and the ratio seq/parallel. Speedup is omitted
+	// when Workers exceeds GoMaxProcs: the parallel run then still
+	// exercises the full work-stealing path, but its workers share CPUs,
+	// so the ratio measures multiplexing, not parallel speedup.
 	SeqWallNs int64   `json:"seq_wall_ns,omitempty"`
 	Speedup   float64 `json:"speedup,omitempty"`
 }
@@ -289,9 +290,14 @@ func runScaleSweep(list, jsonDir string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "crhbench: scale=%s workers=%d diverged from sequential run: %v\n", tier, parWorkers, err)
 			return 1
 		}
-		speedup := seqWall.Seconds() / parWall.Seconds()
-		fmt.Fprintf(stdout, "scale=%s: seq %v, workers=%d %v (speedup %.2fx), %d iterations, bit-identical\n",
-			tier, seqWall.Round(time.Microsecond), parWorkers, parWall.Round(time.Microsecond), speedup, res.Iterations)
+		var speedup float64
+		shown := "n/a, workers > gomaxprocs"
+		if parWorkers <= runtime.GOMAXPROCS(0) {
+			speedup = seqWall.Seconds() / parWall.Seconds()
+			shown = fmt.Sprintf("%.2fx", speedup)
+		}
+		fmt.Fprintf(stdout, "scale=%s: seq %v, workers=%d %v (speedup %s), %d iterations, bit-identical\n",
+			tier, seqWall.Round(time.Microsecond), parWorkers, parWall.Round(time.Microsecond), shown, res.Iterations)
 		if jsonDir == "" {
 			continue
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"runtime/debug"
@@ -8,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/crhkit/crh/internal/data"
 	"github.com/crhkit/crh/internal/loss"
 	"github.com/crhkit/crh/internal/reg"
 )
@@ -44,16 +46,44 @@ func iterAllocDelta(t *testing.T, p *Prepared, cfg Config, short, long int) floa
 	return (runAllocs(long) - runAllocs(short)) / float64(long-short)
 }
 
+// worstSourceData builds three sources where the worst, which exp-max
+// weighs exactly 0, alone claims five continuous entries: every
+// iteration's truth update then takes the weighted median of those
+// entries with zero total weight, WeightedMedianBuf's unweighted
+// fallback.
+func worstSourceData() *data.Dataset {
+	b := data.NewBuilder()
+	p := b.MustProperty("v", data.Continuous)
+	good1, good2, worst := b.Source("good1"), b.Source("good2"), b.Source("worst")
+	for o := 0; o < 20; o++ {
+		obj := b.Object(fmt.Sprintf("shared%02d", o))
+		b.ObserveIdx(good1, obj, p, data.Float(float64(o)))
+		b.ObserveIdx(good2, obj, p, data.Float(float64(o)+0.5))
+		b.ObserveIdx(worst, obj, p, data.Float(float64(o)+50))
+	}
+	for o := 0; o < 5; o++ {
+		b.ObserveIdx(worst, b.Object(fmt.Sprintf("solo%d", o)), p, data.Float(float64(o)))
+	}
+	return b.Build()
+}
+
 // TestSolverIterationAllocFree pins zero steady-state allocations per
 // solver iteration for the default configuration (absolute/0-1 losses,
-// exp-max weights) on mixed data: the kernel interfaces and the
-// solver-owned scratch must keep the whole weight/truth/objective cycle
-// off the heap.
+// exp-max weights): the kernel interfaces and the solver-owned scratch
+// must keep the whole weight/truth/objective cycle off the heap, on
+// mixed data and on entries only a zero-weight source claims.
 func TestSolverIterationAllocFree(t *testing.T) {
-	d := synthesize(equivCase{"mixed", 2, 2, 10, 200, 0.25}, 42)
-	p := Prepare(d)
-	if delta := iterAllocDelta(t, p, Config{}, 4, 24); delta != 0 {
-		t.Fatalf("default config allocates %.2f objects per iteration, want 0", delta)
+	for _, in := range []struct {
+		name string
+		d    *data.Dataset
+	}{
+		{"mixed", synthesize(equivCase{"mixed", 2, 2, 10, 200, 0.25}, 42)},
+		{"worst-source", worstSourceData()},
+	} {
+		p := Prepare(in.d)
+		if delta := iterAllocDelta(t, p, Config{}, 4, 24); delta != 0 {
+			t.Errorf("%s: default config allocates %.2f objects per iteration, want 0", in.name, delta)
+		}
 	}
 }
 

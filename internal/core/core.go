@@ -142,7 +142,8 @@ type Result struct {
 	// Nil for the default single-group configuration.
 	GroupWeights [][]float64
 	// Objective records the objective value after each iteration's truth
-	// update (index 0 is the initialization pass).
+	// update: index 0 is iteration 1's (the initialization pass records
+	// none).
 	Objective []float64
 	// IterTime records each iteration's wall time (weight update, truth
 	// update, and objective evaluation together), aligned with
@@ -220,63 +221,23 @@ func SourceLosses(d *data.Dataset, truths *data.Table, weights []float64, cfg Co
 	return Prepare(d).SourceLosses(truths, weights, cfg)
 }
 
-// CombineLossMatrix collapses per-(source, property) deviation sums and
-// observation counts into the per-source losses Step I feeds to the
-// weight scheme, applying the same count and property normalizations the
-// in-process solver uses. Exported so the MapReduce driver — which
-// aggregates the sums with a distributed job — produces weights identical
-// to the serial solver's. The in-process solver's combineInto mirrors
-// this arithmetic operation for operation on flat columns; the two must
-// change together.
-func CombineLossMatrix(sum [][]float64, cnt [][]int, cfg Config) []float64 {
-	cfg = cfg.withDefaults()
-	K := len(sum)
-	if K == 0 {
+// CombineLosses collapses per-(source, property) deviation sums and
+// observation counts, flattened to [k*M+m] over M properties, into the
+// per-source losses Step I feeds to the weight scheme, with the count
+// and property normalizations cfg selects. Exported for the MapReduce
+// driver, which aggregates the sums with a distributed job; it runs the
+// in-process solver's own combine routine, so the driver's weights are
+// the serial solver's.
+func CombineLosses(sum []float64, cnt []int32, M int, cfg Config) []float64 {
+	if M == 0 {
 		return nil
 	}
-	M := len(sum[0])
-	avg := make([][]float64, K)
-	for k := 0; k < K; k++ {
-		avg[k] = make([]float64, M)
-		for m := 0; m < M; m++ {
-			if cnt[k][m] > 0 {
-				if cfg.DisableCountNormalization {
-					avg[k][m] = sum[k][m]
-				} else {
-					avg[k][m] = sum[k][m] / float64(cnt[k][m])
-				}
-			}
-		}
-	}
-	if !cfg.DisablePropNormalization {
-		for m := 0; m < M; m++ {
-			var max float64
-			for k := 0; k < K; k++ {
-				if avg[k][m] > max {
-					max = avg[k][m]
-				}
-			}
-			if max > 0 {
-				for k := 0; k < K; k++ {
-					avg[k][m] /= max
-				}
-			}
-		}
+	K := len(sum) / M
+	props := make([]int, M)
+	for m := range props {
+		props[m] = m
 	}
 	losses := make([]float64, K)
-	for k := 0; k < K; k++ {
-		var total float64
-		var nprops int
-		for m := 0; m < M; m++ {
-			if cnt[k][m] > 0 {
-				total += avg[k][m]
-				nprops++
-			}
-		}
-		if nprops > 0 && !cfg.DisableCountNormalization {
-			total /= float64(nprops)
-		}
-		losses[k] = total
-	}
+	combineLosses(losses, sum, cnt, M, props, make([]float64, K*M), &cfg)
 	return losses
 }

@@ -213,6 +213,64 @@ func TestKnownTruthsWithInitTruths(t *testing.T) {
 	}
 }
 
+// TestSquaredProbPinnedTruths: a pinned truth is a hard label with no
+// distribution, so the probabilistic loss must charge its claims as the
+// 0-1 loss would — agreeing claims nothing. Charging every claim 1 made
+// all sources equally bad and erased every weight.
+func TestSquaredProbPinnedTruths(t *testing.T) {
+	b := data.NewBuilder()
+	p := b.MustProperty("c", data.Categorical)
+	x, y := b.CatValue(p, "x"), b.CatValue(p, "y")
+	agree, disagree, third := b.Source("agree"), b.Source("disagree"), b.Source("third")
+	for i := 0; i < 20; i++ {
+		o := b.Object(objName(i))
+		b.ObserveIdx(agree, o, p, data.Cat(x))
+		b.ObserveIdx(disagree, o, p, data.Cat(y))
+		b.ObserveIdx(third, o, p, data.Cat(x))
+	}
+	d := b.Build()
+	known := data.NewTableFor(d)
+	for i := 0; i < 20; i++ {
+		known.SetAt(i, p, data.Cat(x))
+	}
+	hard, err := Run(d, Config{KnownTruths: known})
+	if err != nil {
+		t.Fatal(err)
+	}
+	soft, err := Run(d, Config{KnownTruths: known, CategoricalLoss: loss.SquaredProb{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !(soft.Weights[agree] > 0 && soft.Weights[third] > 0 && soft.Weights[disagree] == 0) {
+		t.Fatalf("squared-prob weights on pinned truths = %v, want agreeing sources above the disagreeing one's 0", soft.Weights)
+	}
+	for k := range hard.Weights {
+		if math.Float64bits(soft.Weights[k]) != math.Float64bits(hard.Weights[k]) {
+			t.Fatalf("squared-prob weights %v differ from 0-1 weights %v on fully pinned truths", soft.Weights, hard.Weights)
+		}
+	}
+}
+
+// TestSquaredProbSeededTruthsKernelParity: truths seeded by InitTruths
+// have no distribution until the first truth pass, on the kernel path
+// (whose distributions live in the solver's arena) as on the fallback
+// path (whose Truth returns them), so the two must agree bit for bit.
+func TestSquaredProbSeededTruthsKernelParity(t *testing.T) {
+	d, gt := splitReliability(t, 9, 60)
+	cfg := Config{InitTruths: gt, CategoricalLoss: loss.SquaredProb{}, Workers: 1}
+	kernel, err := Run(d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Embedding the interface hides SquaredProb's kernel methods.
+	cfg.CategoricalLoss = struct{ loss.Categorical }{loss.SquaredProb{}}
+	fallback, err := Run(d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireBitIdentical(t, d, kernel, fallback, "seeded squared-prob kernel vs fallback")
+}
+
 // TestEnsembleLoss checks the loss-ensemble extension end to end.
 func TestEnsembleLoss(t *testing.T) {
 	d, gt := splitReliability(t, 5, 200)

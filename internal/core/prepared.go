@@ -27,6 +27,9 @@ type Prepared struct {
 	// entryStd caches each continuous entry's observation spread for
 	// loss normalization (Eq 13/15). Zero for categorical entries.
 	entryStd []float64
+	// defaultGroups is the default property grouping: one group holding
+	// every property.
+	defaultGroups [][]int
 }
 
 // Prepare freezes d's columnar view and per-entry statistics. The
@@ -40,9 +43,12 @@ func Prepare(d *data.Dataset) *Prepared {
 		props:    make([]*data.Property, d.NumProps()),
 		entryStd: make([]float64, d.NumEntries()),
 	}
+	all := make([]int, d.NumProps())
 	for m := range p.props {
 		p.props[m] = d.Prop(m)
+		all[m] = m
 	}
+	p.defaultGroups = [][]int{all}
 	for e := 0; e < d.NumEntries(); e++ {
 		// Entries are gathered in the same (source-ascending) order the
 		// row-major solver used, so the computed spreads are bit-identical.
@@ -72,13 +78,17 @@ func (p *Prepared) Run(cfg Config) (*Result, error) {
 
 	// Initialization: either the caller's truths or one truth update
 	// under uniform weights — the Voting/Averaging start the paper
-	// recommends (Section 2.5, "Initialization").
+	// recommends (Section 2.5, "Initialization"). Either way the pass
+	// scores the initial truths, so iteration 1's weight update is the
+	// scheme alone. Seeded truths have no truth pass to fold the scoring
+	// into and get a scoring pass of their own.
 	if cfg.InitTruths != nil {
 		s.truths = cfg.InitTruths.Clone()
 		s.pinKnown()
+		s.sweep(passScore)
 	} else {
 		s.setUniformWeights()
-		s.updateTruths(false)
+		s.sweep(passResolve | passScore)
 	}
 
 	// The per-iteration appends stay within these capacities, so the
@@ -87,14 +97,19 @@ func (p *Prepared) Run(cfg Config) (*Result, error) {
 		Objective: make([]float64, 0, cfg.MaxIters),
 		IterTime:  make([]time.Duration, 0, cfg.MaxIters),
 	}
-	tracing := cfg.Trace != nil
+	// Each iteration walks the claims once: Step II's pass also scores
+	// the truths it chooses, leaving the losses that the objective
+	// weighs and the next iteration's Step I turns into weights.
+	work := passResolve | passScore
+	if cfg.Trace != nil {
+		work |= passCount
+	}
 	prevObj := math.Inf(1)
 	for it := 0; it < cfg.MaxIters; it++ {
 		t0 := time.Now()
 		s.updateWeights()
-		weightWorkers := s.lastWorkers
 		tW := time.Now()
-		changes := s.updateTruths(tracing)
+		changes := s.sweep(work)
 		truthWorkers := s.lastWorkers
 		tT := time.Now()
 		obj := s.objective()
@@ -112,7 +127,7 @@ func (p *Prepared) Run(cfg Config) (*Result, error) {
 			}
 		}
 		prevObj = obj
-		if tracing {
+		if cfg.Trace != nil {
 			cfg.Trace.TraceIteration(obs.IterationTrace{
 				Iteration:      it + 1,
 				Objective:      obj,
@@ -120,7 +135,7 @@ func (p *Prepared) Run(cfg Config) (*Result, error) {
 				TruthPhase:     tT.Sub(tW),
 				ObjectivePhase: tO.Sub(tT),
 				TruthChanges:   changes,
-				WeightWorkers:  weightWorkers,
+				WeightWorkers:  1,
 				TruthWorkers:   truthWorkers,
 				Weights:        obs.SummarizeWeights(s.weights[0]),
 				Converged:      res.Converged,
@@ -150,7 +165,7 @@ func (p *Prepared) AggregateTruths(weights []float64, cfg Config) *data.Table {
 	cfg.PropertyGroups = nil // single-group helper
 	s := newSolver(p, cfg)
 	copy(s.weights[0], weights)
-	s.updateTruths(false)
+	s.sweep(passResolve)
 	return s.truths
 }
 
@@ -164,33 +179,14 @@ func (p *Prepared) SourceLosses(truths *data.Table, weights []float64, cfg Confi
 	copy(s.weights[0], weights)
 	s.truths = truths
 	// Rebuild distributions for probabilistic categorical losses so
-	// Deviation sees them; hard losses leave nil distributions.
+	// Deviation sees them; the argmin itself is discarded, and hard
+	// losses leave nil distributions.
 	c := p.cols
 	for e := 0; e < c.NumEntries(); e++ {
-		m := c.EntryProp(e)
-		if c.PropKind[m] != data.Categorical || !truths.Has(e) {
-			continue
-		}
-		codes := c.Codes(e)
-		if len(codes) == 0 {
-			continue
-		}
-		ws := s.gatherWeights(s.seq, e, m)
-		if s.catKernel != nil {
-			var dist []float64
-			if s.needDist {
-				dist = s.dists[e]
-			}
-			s.catKernel.TruthCodes(codes, ws, s.seq.votes, dist, p.props[m])
-		} else {
-			cats := s.seq.cats[:len(codes)]
-			for j, code := range codes {
-				cats[j] = int(code)
-			}
-			_, dist := cfg.CategoricalLoss.Truth(cats, ws, p.props[m])
-			s.dists[e] = dist
+		if c.PropKind[c.EntryProp(e)] == data.Categorical && truths.Has(e) {
+			s.resolveEntry(s.seq, e)
 		}
 	}
-	losses, _ := s.sourceLosses()
-	return losses[0]
+	s.sweep(passScore)
+	return s.groupLosses[0]
 }

@@ -48,13 +48,18 @@ type solver struct {
 	inPlace     reg.InPlaceScheme
 	countScheme reg.CountScheme
 
-	// dists[e] is the per-entry category distribution for probabilistic
-	// categorical losses (nil entries for hard losses / continuous /
-	// pinned truths). With a kernel the views index one contiguous
-	// arena; the fallback path stores whatever slice Truth returns.
+	// dists[e] is the distribution behind entry e's current truth for
+	// probabilistic categorical losses, nil when the truth has none:
+	// hard losses, continuous entries, pinned truths, and truths no
+	// Step II has computed yet (seeded by InitTruths). With a kernel the
+	// views index one contiguous arena, entry e's slot starting at
+	// (e/M)·distRow + distOff[m]; the fallback path stores whatever
+	// slice Truth returns.
 	needDist  bool
 	dists     [][]float64
 	distArena []float64
+	distOff   []int
+	distRow   int
 
 	// Step I state, allocated on first use (truth-only passes never
 	// need it): per-shard partial loss matrices and their merged totals,
@@ -67,12 +72,14 @@ type solver struct {
 	sumKM   []float64
 	cntKM   []int32
 	avgBuf  []float64
-	// groupLosses/groupCounts are the per-group outputs of sourceLosses,
-	// reused across iterations.
+	// groupLosses/groupCounts are the per-group losses and observation
+	// counts of the truths the last scoring pass charged, reused across
+	// iterations.
 	groupLosses [][]float64
 	groupCounts [][]int
-	// allProps is the identity property list, the default group.
-	allProps []int
+	// groups lists each property group's properties: Config's
+	// PropertyGroups, or one group of every property by default.
+	groups [][]int
 }
 
 // scratch holds one worker's reusable per-entry buffers: gathered
@@ -136,35 +143,29 @@ func newSolver(p *Prepared, cfg Config) *solver {
 	s.countScheme, _ = cfg.Scheme.(reg.CountScheme)
 	if s.catKernel != nil && s.catKernel.NeedsDist() {
 		// One contiguous arena holds every categorical entry's
-		// distribution; the kernel overwrites its view in place each
-		// iteration instead of allocating a fresh slice per entry.
+		// distribution, in entry order; the kernel overwrites its slot
+		// in place each iteration instead of allocating a fresh slice
+		// per entry.
 		s.needDist = true
-		var total int
+		s.distOff = make([]int, M)
 		for m := 0; m < M; m++ {
 			if c.PropKind[m] == data.Categorical {
-				total += c.NumCats[m] * c.Objects
+				s.distOff[m] = s.distRow
+				s.distRow += c.NumCats[m]
 			}
 		}
-		s.distArena = make([]float64, total)
-		off := 0
-		for e := 0; e < nEntries; e++ {
-			m := c.EntryProp(e)
-			if c.PropKind[m] == data.Categorical {
-				nc := c.NumCats[m]
-				s.dists[e] = s.distArena[off : off+nc : off+nc]
-				off += nc
-			}
+		s.distArena = make([]float64, s.distRow*c.Objects)
+	}
+	s.groups = cfg.PropertyGroups
+	if s.groups == nil {
+		s.groups = p.defaultGroups
+	}
+	for gi, g := range s.groups {
+		for _, m := range g {
+			s.groupOf[m] = gi
 		}
 	}
-	nGroups := 1
-	if cfg.PropertyGroups != nil {
-		nGroups = len(cfg.PropertyGroups)
-		for gi, g := range cfg.PropertyGroups {
-			for _, m := range g {
-				s.groupOf[m] = gi
-			}
-		}
-	}
+	nGroups := len(s.groups)
 	s.weights = make([][]float64, nGroups)
 	s.groupLosses = make([][]float64, nGroups)
 	s.groupCounts = make([][]int, nGroups)
@@ -172,10 +173,6 @@ func newSolver(p *Prepared, cfg Config) *solver {
 		s.weights[g] = make([]float64, K)
 		s.groupLosses[g] = make([]float64, K)
 		s.groupCounts[g] = make([]int, K)
-	}
-	s.allProps = make([]int, M)
-	for m := range s.allProps {
-		s.allProps[m] = m
 	}
 	s.seq = s.newScratch()
 	return s
@@ -294,18 +291,39 @@ func (s *solver) gatherWeights(sc *scratch, e, m int) []float64 {
 	return ws
 }
 
-// updateTruths performs Step II: per-entry argmin under current weights,
-// parallelized across entries (each entry's truth is independent).
-// Entries pinned by KnownTruths are left untouched.
-//
-// When countChanges is set (only while a Trace is installed) it returns
-// the number of entries whose truth estimate moved this pass; otherwise
-// it returns 0 without comparing, keeping the untraced path free of the
-// extra table reads.
-func (s *solver) updateTruths(countChanges bool) int {
+// pass selects the work one sweep over the entries does.
+type pass uint8
+
+const (
+	// passResolve runs Step II: each entry's truth is pinned from
+	// KnownTruths or set to the argmin of its claims under the current
+	// weights.
+	passResolve pass = 1 << iota
+	// passScore charges every claim its deviation from its entry's
+	// truth into the shard's partial loss slot — Step I's losses. In a
+	// resolving pass an entry is scored right after its new truth is
+	// chosen, which is what a separate loss walk would charge: an
+	// entry's deviations depend only on its own claims and its truth.
+	passScore
+	// passCount counts the entries whose truth moved (traced runs
+	// only).
+	passCount
+)
+
+// sweep runs one pass over every entry, parallelized across shards
+// (each entry's truth and deviations are independent). A scoring pass
+// leaves the losses of the truths it charged in s.groupLosses and
+// s.groupCounts; truth-only passes (AggregateTruths) never allocate the
+// loss buffers. With passCount it returns the number of entries whose
+// truth estimate moved; otherwise it returns 0 without comparing,
+// keeping the untraced path free of the extra table reads.
+func (s *solver) sweep(work pass) int {
 	var perShard []int
-	if countChanges {
+	if work&passCount != 0 {
 		perShard = make([]int, s.nsh)
+	}
+	if work&passScore != 0 {
+		s.ensureLossBufs()
 	}
 	// The sequential path dispatches shards directly instead of through
 	// forShards: a closure argument would escape to the heap and cost
@@ -315,12 +333,15 @@ func (s *solver) updateTruths(countChanges bool) int {
 		n := s.cols.NumEntries()
 		for sh := 0; sh < s.nsh; sh++ {
 			lo, hi := shardBounds(n, sh, s.nsh)
-			s.truthShard(s.seq, sh, lo, hi, countChanges, perShard)
+			s.sweepShard(s.seq, sh, lo, hi, work, perShard)
 		}
 	} else {
 		s.forShards(func(sc *scratch, sh, lo, hi int) {
-			s.truthShard(sc, sh, lo, hi, countChanges, perShard)
+			s.sweepShard(sc, sh, lo, hi, work, perShard)
 		})
+	}
+	if work&passScore != 0 {
+		s.mergeLosses()
 	}
 	var changes int
 	for _, n := range perShard {
@@ -329,29 +350,43 @@ func (s *solver) updateTruths(countChanges bool) int {
 	return changes
 }
 
-// truthShard resolves entries [lo, hi) — one shard of a Step II pass.
+// sweepShard runs one pass over entries [lo, hi) — one shard. A scoring
+// pass first zeroes the shard's partial loss slot, then charges entries
+// in ascending order, each claim in the frozen columns' order.
 //
 //crh:hotpath
-func (s *solver) truthShard(sc *scratch, sh, lo, hi int, countChanges bool, perShard []int) {
+func (s *solver) sweepShard(sc *scratch, sh, lo, hi int, work pass, perShard []int) {
 	c := s.cols
+	var lsum []float64
+	var lcnt []int32
+	if work&passScore != 0 {
+		KM := c.Sources * c.Props
+		lsum = s.partSum[sh*KM : (sh+1)*KM]
+		lcnt = s.partCnt[sh*KM : (sh+1)*KM]
+		clear(lsum)
+		clear(lcnt)
+	}
 	for e := lo; e < hi; e++ {
-		if s.cfg.KnownTruths != nil && s.cfg.KnownTruths.Has(e) {
-			v, _ := s.cfg.KnownTruths.Get(e)
-			s.truths.Set(e, v)
-			s.dists[e] = nil
-			continue
-		}
-		nv, ok := s.resolveEntry(sc, e)
-		if !ok {
-			continue
-		}
-		if countChanges {
-			t := c.PropKind[c.EntryProp(e)]
-			if old, ok := s.truths.Get(e); !ok || truthChanged(t, old, nv) {
-				perShard[sh]++
+		if work&passResolve != 0 {
+			if s.cfg.KnownTruths != nil && s.cfg.KnownTruths.Has(e) {
+				v, _ := s.cfg.KnownTruths.Get(e)
+				s.truths.Set(e, v)
+				s.dists[e] = nil
+			} else if nv, ok := s.resolveEntry(sc, e); ok {
+				if work&passCount != 0 {
+					t := c.PropKind[c.EntryProp(e)]
+					if old, ok := s.truths.Get(e); !ok || truthChanged(t, old, nv) {
+						perShard[sh]++
+					}
+				}
+				s.truths.Set(e, nv)
 			}
 		}
-		s.truths.Set(e, nv)
+		if work&passScore != 0 {
+			if truth, ok := s.truths.Get(e); ok {
+				s.scoreEntry(lsum, lcnt, e, truth)
+			}
+		}
 	}
 }
 
@@ -376,7 +411,10 @@ func (s *solver) resolveEntry(sc *scratch, e int) (data.Value, bool) {
 		if s.catKernel != nil {
 			var dist []float64
 			if s.needDist {
-				dist = s.dists[e]
+				lo := e/c.Props*s.distRow + s.distOff[m]
+				hi := lo + c.NumCats[m]
+				dist = s.distArena[lo:hi:hi]
+				s.dists[e] = dist
 			}
 			return data.Cat(s.catKernel.TruthCodes(codes, ws, sc.votes, dist, s.prep.props[m])), true
 		}
@@ -413,88 +451,55 @@ func truthChanged(t data.Type, old, nv data.Value) bool {
 	return math.Abs(old.F-nv.F) > 1e-12
 }
 
-// accumulateShard folds entries [lo, hi) into one shard's partial loss
-// matrix (flattened [k*M+m]): each source's deviation from the current
-// truth of every entry it observed (Eq 5/6). It is the per-shard unit of
-// Step I's deviation accumulation, shared by sourceLosses' sequential
-// and parallel paths, and the weight-update inner loop — //crh:hotpath
-// holds it and everything it calls to zero steady-state allocations.
+// scoreEntry charges each claim on entry e its deviation from truth
+// (Eq 5/6) into one shard's partial loss matrix (flattened [k*M+m]).
+// It is Step I's per-entry unit and runs once per entry per iteration
+// inside the Step II pass — //crh:hotpath holds it and everything it
+// calls to zero steady-state allocations.
 //
 //crh:hotpath
-func (s *solver) accumulateShard(lsum []float64, lcnt []int32, lo, hi int) {
+func (s *solver) scoreEntry(lsum []float64, lcnt []int32, e int, truth data.Value) {
 	c := s.cols
 	M := c.Props
-	for e := lo; e < hi; e++ {
-		truth, ok := s.truths.Get(e)
-		if !ok {
-			continue
+	m := c.EntryProp(e)
+	srcs := c.SrcsOf(e)
+	if c.PropKind[m] == data.Categorical {
+		dist := s.dists[e]
+		p := s.prep.props[m]
+		codes := c.Codes(e)
+		tc := int(truth.C)
+		for j, k := range srcs {
+			i := int(k)*M + m
+			lsum[i] += s.cfg.CategoricalLoss.Deviation(tc, dist, int(codes[j]), p)
+			lcnt[i]++
 		}
-		m := c.EntryProp(e)
-		srcs := c.SrcsOf(e)
-		if c.PropKind[m] == data.Categorical {
-			dist := s.dists[e]
-			p := s.prep.props[m]
-			codes := c.Codes(e)
-			tc := int(truth.C)
-			for j, k := range srcs {
-				i := int(k)*M + m
-				lsum[i] += s.cfg.CategoricalLoss.Deviation(tc, dist, int(codes[j]), p)
-				lcnt[i]++
-			}
-		} else {
-			std := s.prep.entryStd[e]
-			vals := c.Floats(e)
-			for j, k := range srcs {
-				i := int(k)*M + m
-				lsum[i] += s.cfg.ContinuousLoss.Deviation(truth.F, vals[j], std)
-				lcnt[i]++
-			}
-		}
+		return
+	}
+	std := s.prep.entryStd[e]
+	vals := c.Floats(e)
+	for j, k := range srcs {
+		i := int(k)*M + m
+		lsum[i] += s.cfg.ContinuousLoss.Deviation(truth.F, vals[j], std)
+		lcnt[i]++
 	}
 }
 
-// sourceLosses computes the per-group per-source losses feeding Step I:
-// each source's deviation from the current truths, averaged per
-// observation within each property (unless disabled), rescaled per
-// property so different loss scales are comparable (unless disabled),
-// then averaged across the properties the source observed within each
-// group. The second result is each source's observation count per group,
-// consumed by count-aware weight schemes (reg.CountScheme). Both results
-// are written into solver-owned buffers reused across iterations.
-func (s *solver) sourceLosses() ([][]float64, [][]int) {
-	s.ensureLossBufs()
+// mergeLosses folds the shards' partial loss matrices in ascending
+// shard order — the same additions for every worker budget — and turns
+// the totals into the per-group per-source losses feeding Step I: each
+// source's deviations averaged per observation within each property
+// (unless disabled), rescaled per property so different loss scales
+// are comparable (unless disabled), then averaged across the properties
+// the source observed within each group. It also records each source's
+// observation count per group, consumed by count-aware weight schemes
+// (reg.CountScheme). Both land in solver-owned buffers.
+func (s *solver) mergeLosses() {
 	c := s.cols
 	K, M := c.Sources, c.Props
 	KM := K * M
 	clear(s.sumKM)
 	clear(s.cntKM)
-
-	// Both paths compute one partial matrix per shard and merge partials
-	// in ascending shard order. Shard boundaries depend only on the entry
-	// count, so the summation order — and therefore every output bit —
-	// is identical for any worker budget, pool, or scheduling.
-	n := c.NumEntries()
-	nsh := s.nsh
-	if s.effectiveWorkers() <= 1 {
-		s.lastWorkers = 1
-		for sh := 0; sh < nsh; sh++ {
-			lsum := s.partSum[sh*KM : (sh+1)*KM]
-			lcnt := s.partCnt[sh*KM : (sh+1)*KM]
-			clear(lsum)
-			clear(lcnt)
-			lo, hi := shardBounds(n, sh, nsh)
-			s.accumulateShard(lsum, lcnt, lo, hi)
-		}
-	} else {
-		s.forShards(func(_ *scratch, sh, lo, hi int) {
-			lsum := s.partSum[sh*KM : (sh+1)*KM]
-			lcnt := s.partCnt[sh*KM : (sh+1)*KM]
-			clear(lsum)
-			clear(lcnt)
-			s.accumulateShard(lsum, lcnt, lo, hi)
-		})
-	}
-	for sh := 0; sh < nsh; sh++ {
+	for sh := 0; sh < s.nsh; sh++ {
 		base := sh * KM
 		for i := 0; i < KM; i++ {
 			s.sumKM[i] += s.partSum[base+i]
@@ -503,22 +508,7 @@ func (s *solver) sourceLosses() ([][]float64, [][]int) {
 			s.cntKM[i] += s.partCnt[base+i]
 		}
 	}
-
-	groups := s.cfg.PropertyGroups
-	if groups == nil {
-		counts := s.groupCounts[0]
-		for k := 0; k < K; k++ {
-			t := 0
-			for m := 0; m < M; m++ {
-				t += int(s.cntKM[k*M+m])
-			}
-			counts[k] = t
-		}
-		s.combineInto(s.groupLosses[0], s.allProps)
-		return s.groupLosses, s.groupCounts
-	}
-	// Per group: combine only the group's property columns.
-	for gi, g := range groups {
+	for gi, g := range s.groups {
 		counts := s.groupCounts[gi]
 		for k := 0; k < K; k++ {
 			t := 0
@@ -527,35 +517,35 @@ func (s *solver) sourceLosses() ([][]float64, [][]int) {
 			}
 			counts[k] = t
 		}
-		s.combineInto(s.groupLosses[gi], g)
+		combineLosses(s.groupLosses[gi], s.sumKM, s.cntKM, M, g, s.avgBuf, &s.cfg)
 	}
-	return s.groupLosses, s.groupCounts
 }
 
-// combineInto collapses the merged deviation sums of the given property
-// subset into per-source losses, writing them to dst (length K). It is
-// the flat-column mirror of CombineLossMatrix and must stay arithmetic-
-// for-arithmetic identical to it: count normalization first, then
-// per-property max rescaling, then the per-source average over observed
-// properties.
-func (s *solver) combineInto(dst []float64, props []int) {
-	K, M := s.cols.Sources, s.cols.Props
+// combineLosses collapses merged deviation sums and observation counts,
+// flattened to [k*M+m] over M properties, into per-source losses over
+// the property subset props, writing dst (length K): count
+// normalization first, then per-property max rescaling, then each
+// source's average over the properties it observed. avg is scratch of
+// length ≥ K·len(props). It is the one combine routine: the solver runs
+// it per property group and the MapReduce driver through CombineLosses.
+func combineLosses(dst, sum []float64, cnt []int32, M int, props []int, avg []float64, cfg *Config) {
+	K := len(dst)
 	P := len(props)
-	avg := s.avgBuf[:K*P]
+	avg = avg[:K*P]
 	for k := 0; k < K; k++ {
 		for j, m := range props {
 			a := 0.0
-			if cnt := s.cntKM[k*M+m]; cnt > 0 {
-				if s.cfg.DisableCountNormalization {
-					a = s.sumKM[k*M+m]
+			if n := cnt[k*M+m]; n > 0 {
+				if cfg.DisableCountNormalization {
+					a = sum[k*M+m]
 				} else {
-					a = s.sumKM[k*M+m] / float64(cnt)
+					a = sum[k*M+m] / float64(n)
 				}
 			}
 			avg[k*P+j] = a
 		}
 	}
-	if !s.cfg.DisablePropNormalization {
+	if !cfg.DisablePropNormalization {
 		for j := 0; j < P; j++ {
 			var max float64
 			for k := 0; k < K; k++ {
@@ -574,12 +564,12 @@ func (s *solver) combineInto(dst []float64, props []int) {
 		var total float64
 		var nprops int
 		for j, m := range props {
-			if s.cntKM[k*M+m] > 0 {
+			if cnt[k*M+m] > 0 {
 				total += avg[k*P+j]
 				nprops++
 			}
 		}
-		if nprops > 0 && !s.cfg.DisableCountNormalization {
+		if nprops > 0 && !cfg.DisableCountNormalization {
 			total /= float64(nprops)
 		}
 		dst[k] = total
@@ -587,15 +577,15 @@ func (s *solver) combineInto(dst []float64, props []int) {
 }
 
 // updateWeights performs Step I under the configured scheme, once per
-// property group. Count-aware schemes additionally receive each source's
-// per-group observation count; in-place schemes write into the reused
-// weight buffers.
+// property group, from the losses the last scoring pass left — those
+// of the current truths. Count-aware schemes additionally receive each
+// source's per-group observation count; in-place schemes write into the
+// reused weight buffers.
 func (s *solver) updateWeights() {
-	losses, counts := s.sourceLosses()
-	for g, l := range losses {
+	for g, l := range s.groupLosses {
 		switch {
 		case s.countScheme != nil:
-			s.weights[g] = s.countScheme.WeightsWithCounts(l, counts[g])
+			s.weights[g] = s.countScheme.WeightsWithCounts(l, s.groupCounts[g])
 		case s.inPlace != nil:
 			s.inPlace.WeightsInto(s.weights[g], l)
 		default:
@@ -604,13 +594,13 @@ func (s *solver) updateWeights() {
 	}
 }
 
-// objective evaluates Σ_g Σ_k w_gk · L_gk with the solver's normalized
-// per-source losses — the quantity whose stabilization we use as the
-// convergence criterion.
+// objective evaluates Σ_g Σ_k w_gk · L_gk with the normalized
+// per-source losses of the current truths, which the scoring pass that
+// chose them left behind — the quantity whose stabilization we use as
+// the convergence criterion.
 func (s *solver) objective() float64 {
-	losses, _ := s.sourceLosses()
 	var f float64
-	for g, gl := range losses {
+	for g, gl := range s.groupLosses {
 		for k, l := range gl {
 			f += s.weights[g][k] * l
 		}

@@ -121,11 +121,11 @@ func (SquaredProb) TruthCodes(codes []uint32, ws []float64, _, dist []float64, p
 // Deviation implements Categorical: ‖I* − I_obs‖² where I* is the truth
 // distribution and I_obs the observation's one-hot vector. Expanded,
 // Σ_j I*_j² − 2·I*_obs + 1, computed in O(L).
-func (SquaredProb) Deviation(_ int, dist []float64, obs int, p *data.Property) float64 {
+func (SquaredProb) Deviation(truth int, dist []float64, obs int, p *data.Property) float64 {
 	if dist == nil {
-		// No distribution available (e.g., truth injected externally):
-		// degrade gracefully to 0-1 behaviour.
-		return 1
+		// No distribution available (a pinned or seeded truth): the
+		// truth is a hard label, so degrade to the 0-1 loss.
+		return ZeroOne{}.Deviation(truth, nil, obs, p)
 	}
 	var sq float64
 	for _, d := range dist {

@@ -152,9 +152,13 @@ func TestSquaredProb(t *testing.T) {
 	if !almostEq(dist[0], 0.5) || !almostEq(dist[1], 0.5) {
 		t.Fatalf("zero-weight dist = %v", dist)
 	}
-	// Nil distribution degrades to 0-1 behaviour.
+	// Nil distribution degrades to 0-1 behaviour: a disagreeing
+	// observation costs 1 and an agreeing one nothing.
 	if got := l.Deviation(0, nil, 1, p); got != 1 {
-		t.Fatalf("nil-dist Deviation = %v, want 1", got)
+		t.Fatalf("nil-dist disagreeing Deviation = %v, want 1", got)
+	}
+	if got := l.Deviation(1, nil, 1, p); got != 0 {
+		t.Fatalf("nil-dist agreeing Deviation = %v, want 0", got)
 	}
 }
 

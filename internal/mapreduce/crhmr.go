@@ -268,19 +268,15 @@ func RunParallel(d *data.Dataset, cfg ParallelConfig) (*ParallelResult, error) {
 
 		// Driver: assemble the loss matrix, normalize exactly like the
 		// serial solver, and update the shared weight file.
-		sum := make([][]float64, K)
-		cnt := make([][]int, K)
-		for k := 0; k < K; k++ {
-			sum[k] = make([]float64, M)
-			cnt[k] = make([]int, M)
-		}
+		sum := make([]float64, K*M)
+		cnt := make([]int32, K*M)
 		for _, kv := range out {
 			k, m := parseSrcPropKey(kv.Key)
 			p := kv.Value.(errPair)
-			sum[k][m] = p.sum
-			cnt[k][m] = p.count
+			sum[k*M+m] = p.sum
+			cnt[k*M+m] = int32(p.count)
 		}
-		weights = ccfg.Scheme.Weights(core.CombineLossMatrix(sum, cnt, ccfg))
+		weights = ccfg.Scheme.Weights(core.CombineLosses(sum, cnt, M, ccfg))
 	}
 
 	res.Truths = truths

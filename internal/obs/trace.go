@@ -78,8 +78,12 @@ type IterationTrace struct {
 	// truth update — the per-iteration convergence curve.
 	Objective float64 `json:"objective"`
 	// WeightPhase, TruthPhase, and ObjectivePhase are the wall times of
-	// the iteration's three stages: the Step I weight update, the Step II
-	// truth update, and the objective evaluation.
+	// the iteration's three stages. WeightPhase is the Step I weight
+	// scheme over losses already scored. TruthPhase is the iteration's
+	// one pass over the claims: the Step II truth update, the scoring of
+	// each claim against its new truth, and the merge of the per-shard
+	// losses. ObjectivePhase is the objective's dot product of the
+	// weights and those losses.
 	WeightPhase    time.Duration `json:"weight_phase_ns"`
 	TruthPhase     time.Duration `json:"truth_phase_ns"`     // see WeightPhase
 	ObjectivePhase time.Duration `json:"objective_phase_ns"` // see WeightPhase
@@ -89,9 +93,11 @@ type IterationTrace struct {
 	TruthChanges int `json:"truth_changes"`
 	// WeightWorkers and TruthWorkers are the worker budgets engaged by
 	// the iteration's weight-update and truth-update phases (1 =
-	// sequential). The budget never affects results — solver output is
-	// bit-identical for every worker count — so these exist purely to
-	// attribute phase wall times to the parallelism that produced them.
+	// sequential; the weight scheme runs on one goroutine, so
+	// WeightWorkers is always 1). The budget never affects results —
+	// solver output is bit-identical for every worker count — so these
+	// exist purely to attribute phase wall times to the parallelism that
+	// produced them.
 	WeightWorkers int `json:"weight_workers"`
 	TruthWorkers  int `json:"truth_workers"` // see WeightWorkers
 	// Weights summarizes the source-weight vector after the weight

@@ -22,11 +22,14 @@ func WeightedMedianFast(xs, ws []float64) float64 {
 
 // WeightedMedianBuf is WeightedMedianFast with caller-owned scratch:
 // vbuf and wbuf (each of length ≥ len(xs)) hold the partitioned working
-// copies, so steady-state callers allocate nothing. The arithmetic — and
-// therefore every returned bit — is identical to WeightedMedianFast; the
-// rare numerical-tie fallback still rescans xs and ws in their original
-// order, which is why the inputs are copied rather than permuted in
-// place. xs and ws are not modified.
+// copies, so callers allocate nothing — on every path, the fallbacks
+// included. The arithmetic — and therefore every returned bit — is
+// identical to WeightedMedianFast. Two inputs leave the quickselect: a
+// zero total weight returns Median(xs), and a numerical tie no window
+// candidate passes rescans xs and ws in their original order with
+// WeightedMedian's scan (which is why the inputs are copied rather than
+// permuted in place); both reuse vbuf and return exactly what Median and
+// WeightedMedian return. xs and ws are not modified.
 func WeightedMedianBuf(xs, ws, vbuf, wbuf []float64) float64 {
 	if len(xs) != len(ws) {
 		panic("stats: WeightedMedianBuf length mismatch")
@@ -39,16 +42,13 @@ func WeightedMedianBuf(xs, ws, vbuf, wbuf []float64) float64 {
 	wts := wbuf[:n]
 	var total float64
 	for i := range xs {
-		w := ws[i]
-		if w < 0 {
-			w = 0
-		}
+		w := nonNegative(ws[i])
 		vals[i] = xs[i]
 		wts[i] = w
 		total += w
 	}
 	if total == 0 {
-		return Median(xs)
+		return medianBuf(xs, vals)
 	}
 	half := total / 2
 	// Invariant: the weighted median of the original input lies in
@@ -82,7 +82,7 @@ func WeightedMedianBuf(xs, ws, vbuf, wbuf []float64) float64 {
 			}
 			if !found {
 				// Numerical ties: fall back to the reference scan.
-				return WeightedMedian(xs, ws)
+				return weightedMedianScan(xs, ws, vals, total)
 			}
 			return best
 		}

@@ -10,6 +10,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -45,13 +46,19 @@ func WeightedMean(xs, ws []float64) float64 {
 // Median returns the median of xs (average of the two middle elements for
 // even lengths), or 0 for an empty slice. xs is not modified.
 func Median(xs []float64) float64 {
+	return medianBuf(xs, make([]float64, len(xs)))
+}
+
+// medianBuf is Median sorting its copy of xs in caller scratch buf
+// (length ≥ len(xs)), so it allocates nothing.
+func medianBuf(xs, buf []float64) float64 {
 	n := len(xs)
 	if n == 0 {
 		return 0
 	}
-	tmp := make([]float64, n)
+	tmp := buf[:n]
 	copy(tmp, xs)
-	sort.Float64s(tmp)
+	slices.Sort(tmp)
 	if n%2 == 1 {
 		return tmp[n/2]
 	}
@@ -74,43 +81,70 @@ func WeightedMedian(xs, ws []float64) float64 {
 	if n == 0 {
 		return 0
 	}
-	type pair struct{ x, w float64 }
-	ps := make([]pair, 0, n)
 	var total float64
-	for i := range xs {
-		w := ws[i]
-		if w < 0 {
-			w = 0
-		}
-		ps = append(ps, pair{xs[i], w})
-		total += w
+	for _, w := range ws {
+		total += nonNegative(w)
 	}
 	if total == 0 {
 		return Median(xs)
 	}
-	sort.Slice(ps, func(i, j int) bool { return ps[i].x < ps[j].x })
+	return weightedMedianScan(xs, ws, make([]float64, n), total)
+}
+
+// nonNegative clamps a negative weight to 0.
+func nonNegative(w float64) float64 {
+	if w < 0 {
+		return 0
+	}
+	return w
+}
+
+// weightedMedianScan is the sort-based Eq(16) scan behind WeightedMedian
+// and WeightedMedianBuf's tie fallback; total is the clamped weight sum
+// in input order. It sorts a permutation of xs's indices, stored in
+// caller scratch idx (length ≥ len(xs); float64 holds every index
+// exactly), by value with pdqsort — the algorithm and comparison
+// sequence sort.Slice runs — so equal values keep the order, and their
+// pooled weights the summation order, of a sort of (value, weight)
+// pairs. It allocates nothing.
+func weightedMedianScan(xs, ws, idx []float64, total float64) float64 {
+	n := len(xs)
+	idx = idx[:n]
+	for i := range idx {
+		idx[i] = float64(i)
+	}
+	slices.SortFunc(idx, func(a, b float64) int {
+		switch x, y := xs[int(a)], xs[int(b)]; {
+		case x < y:
+			return -1
+		case x > y:
+			return 1
+		}
+		return 0
+	})
 	half := total / 2
 	// Scan distinct values with prefix sums of weight strictly below and
 	// strictly above each candidate; ties pool their weight.
 	var below float64
 	i := 0
 	for i < n {
+		x := xs[int(idx[i])]
 		j := i
 		var tie float64
 		//lint:ignore floatcmp Eq 16 pools the weight of identical observed values; approximate ties would merge distinct claims
-		for j < n && ps[j].x == ps[i].x {
-			tie += ps[j].w
+		for j < n && xs[int(idx[j])] == x {
+			tie += nonNegative(ws[int(idx[j])])
 			j++
 		}
 		above := total - below - tie
 		if below < half && above <= half {
-			return ps[i].x
+			return x
 		}
 		below += tie
 		i = j
 	}
 	// Fallback (should be unreachable): return the largest value.
-	return ps[n-1].x
+	return xs[int(idx[n-1])]
 }
 
 // Variance returns the population variance of xs, or 0 for fewer than one

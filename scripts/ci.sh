@@ -21,8 +21,11 @@
 #                      against it: zero request errors and populated
 #                      per-stage latency histograms (docs/LOAD.md)
 #   8. allocation pins the AllocsPerRun pins on the resolve encode /
-#                      cached-bytes serve paths and the solver's
-#                      zero-allocation-per-iteration contract, plus the
+#                      cached-bytes serve paths, the solver's
+#                      zero-allocation-per-iteration contract and the
+#                      weighted median's (fallbacks included), the
+#                      solver's claim scorings per run (I+1 for I
+#                      iterations), plus the
 #                      memory pins (a finished multi-worker run keeps no
 #                      Prepared reachable; a built Dataset owns its
 #                      category dictionaries), on their own so a
@@ -69,9 +72,10 @@ make fuzz FUZZTIME=5s
 echo "==> loadcheck (serve-path smoke)"
 make loadcheck
 
-echo "==> allocation and memory pins (encode, solver iterations, run retention, dictionary copies)"
+echo "==> allocation and memory pins (encode, solver iterations and passes, weighted median, run retention, dictionary copies)"
 go test -run 'TestEncodeAllocs' -count=1 ./internal/server/
-go test -run 'TestSolverIterationAllocFree|TestSolverRunReusesPrepared|TestParallelRunReleasesPrepared' -count=1 ./internal/core/
+go test -run 'TestSolverIterationAllocFree|TestSolverRunReusesPrepared|TestParallelRunReleasesPrepared|TestRunScoringPasses' -count=1 ./internal/core/
+go test -run 'TestWeightedMedianBufAllocFree' -count=1 ./internal/stats/
 go test -run 'TestBuildCopiesCategoryDictionaries' -count=1 ./internal/data/
 
 echo "==> perfbench (vet + unit tests)"
