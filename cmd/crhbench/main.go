@@ -240,7 +240,7 @@ func runWorkersSweep(list string, s experiments.Scale, scaleName, jsonDir string
 // row counts. The small tier matches the workers sweep's dataset
 // (experiments.BankData at ScaleSmall uses the same generator seed) so
 // scale records chain onto the existing worker records; medium and
-// large grow the entry count 4× and 12× to put the columnar freeze,
+// large grow the entry count 4× and 12× to put the claim columns,
 // the shard partials, and the scratch reuse well past cache-resident
 // sizes. Each row contributes 16 entries (the Bank schema).
 var scaleTiers = map[string]int{

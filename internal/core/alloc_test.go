@@ -105,8 +105,8 @@ func TestSolverIterationAllocFreeProbabilistic(t *testing.T) {
 
 // TestSolverRunReusesPrepared pins the flip side: a whole Run on a
 // Prepared must stay within a fixed allocation budget that does not
-// scale with the dataset's claim count — the freeze, not the run, owns
-// the data-sized buffers. The budget is generous (setup still allocates
+// scale with the dataset's claim count — the Dataset and its Prepared,
+// not the run, own the data-sized buffers. The budget is generous (setup still allocates
 // weights, partials, scratch) but catches any per-entry allocation
 // sneaking back into the iteration loop.
 func TestSolverRunReusesPrepared(t *testing.T) {
@@ -132,9 +132,7 @@ func TestSolverRunReusesPrepared(t *testing.T) {
 // keeps nothing reachable: one GC after the runs must collect their
 // Prepareds. A sync.Pool inside the solver would keep each solver, its
 // Prepared and its Dataset alive for two more GC cycles. Automatic
-// collection is off so the single runtime.GC below is the only cycle. A
-// pool worker may still hold the last run's finished job when that
-// cycle starts, so one survivor is allowed.
+// collection is off so the single runtime.GC below is the only cycle.
 func TestParallelRunReleasesPrepared(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	pool := NewPool(2)
@@ -155,7 +153,54 @@ func TestParallelRunReleasesPrepared(t *testing.T) {
 	for deadline := time.Now().Add(time.Second); released.Load() < runs && time.Now().Before(deadline); {
 		runtime.Gosched()
 	}
-	if n := released.Load(); n < runs-1 {
-		t.Fatalf("one GC after %d two-worker runs released %d Prepareds, want at least %d", runs, n, runs-1)
+	if n := released.Load(); n < runs {
+		t.Fatalf("one GC after %d two-worker runs released %d Prepareds, want %d", runs, n, runs)
 	}
+}
+
+// TestPoolReleasesUntakenOffers pins that a pool offer no worker took
+// keeps nothing reachable. Both workers are parked inside another job,
+// so each Do below leaves its offer in the jobs buffer and runs every
+// task itself; one GC must still collect what those tasks captured.
+func TestPoolReleasesUntakenOffers(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	pool := NewPool(2)
+	defer pool.Close()
+	parked, release, unparked := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(unparked)
+		// The caller holds task 0, so tasks 1 and 2 park both workers.
+		pool.Do(3, 3, func(int) {
+			parked <- struct{}{}
+			<-release
+		})
+	}()
+	for i := 0; i < 3; i++ {
+		<-parked
+	}
+	const runs = 2
+	var released atomic.Int32
+	for i := 0; i < runs; i++ {
+		doCaptured(pool, &released)
+	}
+	runtime.GC()
+	for deadline := time.Now().Add(time.Second); released.Load() < runs && time.Now().Before(deadline); {
+		runtime.Gosched()
+	}
+	close(release)
+	<-unparked
+	if n := released.Load(); n != runs {
+		t.Fatalf("one GC after %d untaken offers released %d of their captures, want %d", runs, n, runs)
+	}
+}
+
+// doCaptured runs a two-task job on pool whose tasks capture a fresh
+// object, counting that object's finalization in released. It is not
+// inlined, so no frame of the caller keeps the object alive.
+//
+//go:noinline
+func doCaptured(pool *Pool, released *atomic.Int32) {
+	obj := new([1 << 10]byte)
+	runtime.SetFinalizer(obj, func(*[1 << 10]byte) { released.Add(1) })
+	pool.Do(2, 2, func(i int) { obj[i]++ })
 }

@@ -10,10 +10,11 @@
 // a per-entry truth update (Step II, solved by the loss functions' argmin
 // rules) until the objective stabilizes.
 //
-// The solver's hot loops run on a frozen columnar view of the dataset
-// (internal/col) built once per run — or once per Prepared when the same
-// dataset is solved repeatedly — so steady-state iterations perform no
-// allocations and touch only flat, contiguous slices.
+// The solver's hot loops run on the dataset's entry-major claim columns
+// (data.Dataset), beside per-entry spreads computed once per run — or
+// once per Prepared when the same dataset is solved repeatedly — so
+// steady-state iterations perform no allocations and touch only flat,
+// contiguous slices.
 package core
 
 import (
@@ -193,8 +194,8 @@ func validateGroups(groups [][]int, numProps int) error {
 // configuration, and its output is bit-for-bit identical for every
 // Workers setting (see Config.Workers and docs/PARALLEL.md).
 //
-// Run freezes the dataset's columnar view first; callers solving the
-// same dataset repeatedly should Prepare once and call Prepared.Run.
+// Run prepares the dataset first; callers solving the same dataset
+// repeatedly should Prepare once and call Prepared.Run.
 func Run(d *data.Dataset, cfg Config) (*Result, error) {
 	if d.NumSources() == 0 || d.NumEntries() == 0 {
 		return nil, ErrEmptyDataset

@@ -7,18 +7,18 @@ import (
 	"github.com/crhkit/crh/internal/data"
 )
 
-// Metamorphic properties of the columnar freeze, at medium scale. The
-// frozen columns are gathered from the dataset's dense per-source
-// storage, never from builder insertion order, so two transformations
-// must be exactly invisible — not approximately, bit for bit:
+// Metamorphic properties of the claim columns, at medium scale. Build
+// sorts the claims by entry and source, so the columns never reflect
+// builder insertion order, and two transformations must be exactly
+// invisible — not approximately, bit for bit:
 //
 //   - permuting the order observations are fed to the Builder, and
 //   - injecting duplicate claims that an earlier observation of the
 //     same (source, entry) later overwrites (Build keeps the last).
 //
 // These run on a dataset an order of magnitude larger than the other
-// metamorphic cases so the freeze's CSR layout, the dictionary interning
-// and the shard partials all operate well past their small-case paths.
+// metamorphic cases so the CSR layout, the dictionary interning and the
+// shard partials all operate well past their small-case paths.
 
 const (
 	mcSources = 12
@@ -95,10 +95,9 @@ func mcAssertBitIdentical(t *testing.T, base, got *Result, what string) {
 	}
 }
 
-// TestMetamorphicInsertionOrder: the order observations reach the
-// Builder is erased by the dense per-source storage before the freeze
-// ever sees it, so a shuffled feed must reproduce the canonical run bit
-// for bit.
+// TestMetamorphicInsertionOrder: Build's sort erases the order
+// observations reach the Builder, so a shuffled feed must reproduce the
+// canonical run bit for bit.
 func TestMetamorphicInsertionOrder(t *testing.T) {
 	obsList := mcObservations(31)
 	base := mcRun(t, obsList)
@@ -112,7 +111,7 @@ func TestMetamorphicInsertionOrder(t *testing.T) {
 // TestMetamorphicDuplicateClaims: Build keeps the last value recorded
 // per (source, entry), so decoy claims that a later canonical claim
 // overwrites — and exact repeats of the canonical claim itself — must
-// leave the frozen columns, and therefore the solve, bit-identical.
+// leave the claim columns, and therefore the solve, bit-identical.
 func TestMetamorphicDuplicateClaims(t *testing.T) {
 	obsList := mcObservations(32)
 	base := mcRun(t, obsList)

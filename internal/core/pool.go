@@ -148,4 +148,8 @@ offer:
 	}
 	j.run()
 	j.done.Wait()
+	// An offer no worker took yet stays in the jobs buffer until one
+	// does. Every task has been claimed, so that worker never reads the
+	// closure: drop it, or it keeps the caller's run reachable.
+	j.task = nil
 }

@@ -4,23 +4,22 @@ import (
 	"math"
 	"time"
 
-	"github.com/crhkit/crh/internal/col"
 	"github.com/crhkit/crh/internal/data"
 	"github.com/crhkit/crh/internal/obs"
 	"github.com/crhkit/crh/internal/stats"
 )
 
-// Prepared is a dataset frozen for solving: the columnar claim index
-// (internal/col) plus the per-entry statistics every run needs but no
-// run mutates. Preparing costs one scan of the dataset; once built, a
-// Prepared is immutable and safe for any number of concurrent Run /
-// AggregateTruths / SourceLosses calls. Callers that solve the same
-// dataset repeatedly — the resolve server's snapshots, the streaming
-// processor's warm chunks, benchmark sweeps — should Prepare once and
-// reuse it; the package-level Run freezes on every call.
+// Prepared is a dataset readied for solving: the per-entry statistics
+// every run needs but no run mutates, beside the dataset whose claim
+// columns the solver reads. Preparing costs one pass over the continuous
+// claims; once built, a Prepared is immutable and safe for any number of
+// concurrent Run / AggregateTruths / SourceLosses calls. Callers that
+// solve the same dataset repeatedly — the resolve server's snapshots,
+// the streaming processor's warm chunks, benchmark sweeps — should
+// Prepare once and reuse it; the package-level Run prepares on every
+// call.
 type Prepared struct {
-	d    *data.Dataset
-	cols *col.Columns
+	d *data.Dataset
 	// props caches the property descriptors in index order so hot loops
 	// resolve them without re-deriving from the dataset.
 	props []*data.Property
@@ -32,14 +31,12 @@ type Prepared struct {
 	defaultGroups [][]int
 }
 
-// Prepare freezes d's columnar view and per-entry statistics. The
-// dataset must not be mutated afterwards (datasets built by
-// data.Builder are immutable already).
+// Prepare computes d's per-entry statistics. The dataset must not be
+// mutated afterwards (datasets built by data.Builder are immutable
+// already).
 func Prepare(d *data.Dataset) *Prepared {
-	c := col.Freeze(d)
 	p := &Prepared{
 		d:        d,
-		cols:     c,
 		props:    make([]*data.Property, d.NumProps()),
 		entryStd: make([]float64, d.NumEntries()),
 	}
@@ -50,20 +47,18 @@ func Prepare(d *data.Dataset) *Prepared {
 	}
 	p.defaultGroups = [][]int{all}
 	for e := 0; e < d.NumEntries(); e++ {
-		// Entries are gathered in the same (source-ascending) order the
-		// row-major solver used, so the computed spreads are bit-identical.
-		if c.PropKind[c.EntryProp(e)] == data.Continuous {
-			p.entryStd[e] = stats.Std(c.Floats(e))
+		if p.props[d.EntryProp(e)].Type == data.Continuous {
+			p.entryStd[e] = stats.Std(d.EntryFloats(e))
 		}
 	}
 	return p
 }
 
-// Dataset returns the dataset this Prepared was frozen from.
+// Dataset returns the dataset this Prepared was built from.
 func (p *Prepared) Dataset() *data.Dataset { return p.d }
 
 // Run executes CRH over the prepared dataset. See the package-level Run
-// for the semantics; this variant skips the per-call freeze.
+// for the semantics; this variant skips the per-call preparation.
 func (p *Prepared) Run(cfg Config) (*Result, error) {
 	if p.d.NumSources() == 0 || p.d.NumEntries() == 0 {
 		return nil, ErrEmptyDataset
@@ -158,8 +153,8 @@ func (p *Prepared) Run(cfg Config) (*Result, error) {
 
 // AggregateTruths performs a single truth-update pass (Step II) under
 // fixed source weights. See the package-level AggregateTruths; this
-// variant reuses the frozen columns, which is what makes the streaming
-// processor's warm path cheap.
+// variant reuses the prepared statistics, which is what makes the
+// streaming processor's warm path cheap.
 func (p *Prepared) AggregateTruths(weights []float64, cfg Config) *data.Table {
 	cfg = cfg.withDefaults()
 	cfg.PropertyGroups = nil // single-group helper
@@ -171,7 +166,7 @@ func (p *Prepared) AggregateTruths(weights []float64, cfg Config) *data.Table {
 
 // SourceLosses computes each source's aggregated, normalized loss
 // against the given truths. See the package-level SourceLosses; this
-// variant reuses the frozen columns.
+// variant reuses the prepared statistics.
 func (p *Prepared) SourceLosses(truths *data.Table, weights []float64, cfg Config) []float64 {
 	cfg = cfg.withDefaults()
 	cfg.PropertyGroups = nil // single-group helper
@@ -181,9 +176,8 @@ func (p *Prepared) SourceLosses(truths *data.Table, weights []float64, cfg Confi
 	// Rebuild distributions for probabilistic categorical losses so
 	// Deviation sees them; the argmin itself is discarded, and hard
 	// losses leave nil distributions.
-	c := p.cols
-	for e := 0; e < c.NumEntries(); e++ {
-		if c.PropKind[c.EntryProp(e)] == data.Categorical && truths.Has(e) {
+	for e := 0; e < p.d.NumEntries(); e++ {
+		if p.props[p.d.EntryProp(e)].Type == data.Categorical && truths.Has(e) {
 			s.resolveEntry(s.seq, e)
 		}
 	}

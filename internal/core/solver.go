@@ -6,20 +6,19 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"github.com/crhkit/crh/internal/col"
 	"github.com/crhkit/crh/internal/data"
 	"github.com/crhkit/crh/internal/loss"
 	"github.com/crhkit/crh/internal/reg"
 )
 
-// solver carries the mutable state of one run over a frozen Prepared.
+// solver carries the mutable state of one run over a Prepared.
 // Every buffer the iteration loop touches is allocated here, once: with
 // the default losses and scheme (which implement the kernel interfaces)
 // steady-state iterations perform zero allocations — a contract pinned
 // by TestSolverIterationAllocFree.
 type solver struct {
 	prep *Prepared
-	cols *col.Columns
+	d    *data.Dataset
 	cfg  Config
 
 	workers int
@@ -84,8 +83,8 @@ type solver struct {
 
 // scratch holds one worker's reusable per-entry buffers: gathered
 // weights, fallback value copies, median quickselect space, and the
-// categorical vote tally. All are sized from the frozen columns' maxima
-// (MaxObs, MaxCats), so per-entry slicing never reallocates.
+// categorical vote tally. All are sized from the dataset's extents
+// (MaxObservers, MaxCats), so per-entry slicing never reallocates.
 type scratch struct {
 	ws, vals, vbuf, wbuf, votes []float64
 	cats                        []int
@@ -99,7 +98,7 @@ type scratch struct {
 var scratchPool sync.Pool
 
 func (s *solver) newScratch() *scratch {
-	mo, mc := s.cols.MaxObs, s.cols.MaxCats
+	mo, mc := s.d.MaxObservers(), s.d.MaxCats()
 	return &scratch{
 		ws:    make([]float64, mo),
 		vals:  make([]float64, mo),
@@ -111,21 +110,21 @@ func (s *solver) newScratch() *scratch {
 }
 
 // getScratch draws a pooled scratch large enough for this solver's
-// columns, allocating one when the pool has none that fits.
+// dataset, allocating one when the pool has none that fits.
 func (s *solver) getScratch() *scratch {
-	if sc, ok := scratchPool.Get().(*scratch); ok && len(sc.ws) >= s.cols.MaxObs && len(sc.votes) >= s.cols.MaxCats {
+	if sc, ok := scratchPool.Get().(*scratch); ok && len(sc.ws) >= s.d.MaxObservers() && len(sc.votes) >= s.d.MaxCats() {
 		return sc
 	}
 	return s.newScratch()
 }
 
 func newSolver(p *Prepared, cfg Config) *solver {
-	c := p.cols
-	K, M := c.Sources, c.Props
+	c := p.d
+	K, M := c.NumSources(), c.NumProps()
 	nEntries := c.NumEntries()
 	s := &solver{
 		prep:    p,
-		cols:    c,
+		d:       c,
 		cfg:     cfg,
 		workers: cfg.Workers,
 		pool:    cfg.Pool,
@@ -149,12 +148,12 @@ func newSolver(p *Prepared, cfg Config) *solver {
 		s.needDist = true
 		s.distOff = make([]int, M)
 		for m := 0; m < M; m++ {
-			if c.PropKind[m] == data.Categorical {
+			if p.props[m].Type == data.Categorical {
 				s.distOff[m] = s.distRow
-				s.distRow += c.NumCats[m]
+				s.distRow += p.props[m].NumCats()
 			}
 		}
-		s.distArena = make([]float64, s.distRow*c.Objects)
+		s.distArena = make([]float64, s.distRow*c.NumObjects())
 	}
 	s.groups = cfg.PropertyGroups
 	if s.groups == nil {
@@ -184,7 +183,7 @@ func (s *solver) ensureLossBufs() {
 	if s.sumKM != nil {
 		return
 	}
-	KM := s.cols.Sources * s.cols.Props
+	KM := s.d.NumSources() * s.d.NumProps()
 	s.partSum = make([]float64, s.nsh*KM)
 	s.partCnt = make([]int32, s.nsh*KM)
 	s.sumKM = make([]float64, KM)
@@ -237,7 +236,7 @@ func (s *solver) effectiveWorkers() int {
 // Shards are claimed dynamically (work stealing) which is safe precisely
 // because the merge happens by shard index, not by completion order.
 func (s *solver) forShards(fn func(sc *scratch, sh, lo, hi int)) {
-	n := s.cols.NumEntries()
+	n := s.d.NumEntries()
 	nsh := s.nsh
 	w := s.effectiveWorkers()
 	s.lastWorkers = w
@@ -277,12 +276,12 @@ func (s *solver) forShards(fn func(sc *scratch, sh, lo, hi int)) {
 }
 
 // gatherWeights fills sc.ws with the current weight of each source
-// observing entry e (property m), in the claim order of the frozen
-// columns. Runs once per entry per pass against preallocated scratch.
+// observing entry e (property m), in the dataset's claim order. Runs
+// once per entry per pass against preallocated scratch.
 //
 //crh:hotpath
 func (s *solver) gatherWeights(sc *scratch, e, m int) []float64 {
-	srcs := s.cols.SrcsOf(e)
+	srcs := s.d.EntrySources(e)
 	gw := s.weights[s.groupOf[m]]
 	ws := sc.ws[:len(srcs)]
 	for j, k := range srcs {
@@ -330,7 +329,7 @@ func (s *solver) sweep(work pass) int {
 	// one allocation per iteration, breaking the zero-steady-state pin.
 	if s.effectiveWorkers() <= 1 {
 		s.lastWorkers = 1
-		n := s.cols.NumEntries()
+		n := s.d.NumEntries()
 		for sh := 0; sh < s.nsh; sh++ {
 			lo, hi := shardBounds(n, sh, s.nsh)
 			s.sweepShard(s.seq, sh, lo, hi, work, perShard)
@@ -352,15 +351,15 @@ func (s *solver) sweep(work pass) int {
 
 // sweepShard runs one pass over entries [lo, hi) — one shard. A scoring
 // pass first zeroes the shard's partial loss slot, then charges entries
-// in ascending order, each claim in the frozen columns' order.
+// in ascending order, each claim in the dataset's claim order.
 //
 //crh:hotpath
 func (s *solver) sweepShard(sc *scratch, sh, lo, hi int, work pass, perShard []int) {
-	c := s.cols
+	c := s.d
 	var lsum []float64
 	var lcnt []int32
 	if work&passScore != 0 {
-		KM := c.Sources * c.Props
+		KM := c.NumSources() * c.NumProps()
 		lsum = s.partSum[sh*KM : (sh+1)*KM]
 		lcnt = s.partCnt[sh*KM : (sh+1)*KM]
 		clear(lsum)
@@ -374,7 +373,7 @@ func (s *solver) sweepShard(sc *scratch, sh, lo, hi int, work pass, perShard []i
 				s.dists[e] = nil
 			} else if nv, ok := s.resolveEntry(sc, e); ok {
 				if work&passCount != 0 {
-					t := c.PropKind[c.EntryProp(e)]
+					t := s.prep.props[c.EntryProp(e)].Type
 					if old, ok := s.truths.Get(e); !ok || truthChanged(t, old, nv) {
 						perShard[sh]++
 					}
@@ -391,7 +390,7 @@ func (s *solver) sweepShard(sc *scratch, sh, lo, hi int, work pass, perShard []i
 }
 
 // resolveEntry performs the Step II argmin for one unpinned entry: read
-// its claims straight from the frozen columns, gather the observers'
+// its claims straight from the dataset's columns, gather the observers'
 // weights, and let the configured loss pick the minimizing estimate
 // (Eq 7/9). ok is false when nobody observed the entry. This is the
 // truth-update inner loop — it runs once per entry per iteration, and
@@ -400,10 +399,11 @@ func (s *solver) sweepShard(sc *scratch, sh, lo, hi int, work pass, perShard []i
 //
 //crh:hotpath
 func (s *solver) resolveEntry(sc *scratch, e int) (data.Value, bool) {
-	c := s.cols
+	c := s.d
 	m := c.EntryProp(e)
-	if c.PropKind[m] == data.Categorical {
-		codes := c.Codes(e)
+	p := s.prep.props[m]
+	if p.Type == data.Categorical {
+		codes := c.EntryCodes(e)
 		if len(codes) == 0 {
 			return data.Value{}, false
 		}
@@ -411,22 +411,22 @@ func (s *solver) resolveEntry(sc *scratch, e int) (data.Value, bool) {
 		if s.catKernel != nil {
 			var dist []float64
 			if s.needDist {
-				lo := e/c.Props*s.distRow + s.distOff[m]
-				hi := lo + c.NumCats[m]
+				lo := e/c.NumProps()*s.distRow + s.distOff[m]
+				hi := lo + p.NumCats()
 				dist = s.distArena[lo:hi:hi]
 				s.dists[e] = dist
 			}
-			return data.Cat(s.catKernel.TruthCodes(codes, ws, sc.votes, dist, s.prep.props[m])), true
+			return data.Cat(s.catKernel.TruthCodes(codes, ws, sc.votes, dist, p)), true
 		}
 		cats := sc.cats[:len(codes)]
 		for j, code := range codes {
 			cats[j] = int(code)
 		}
-		t, dist := s.cfg.CategoricalLoss.Truth(cats, ws, s.prep.props[m])
+		t, dist := s.cfg.CategoricalLoss.Truth(cats, ws, p)
 		s.dists[e] = dist
 		return data.Cat(t), true
 	}
-	vals := c.Floats(e)
+	vals := c.EntryFloats(e)
 	if len(vals) == 0 {
 		return data.Value{}, false
 	}
@@ -434,7 +434,7 @@ func (s *solver) resolveEntry(sc *scratch, e int) (data.Value, bool) {
 	if s.contKernel != nil {
 		return data.Float(s.contKernel.TruthBuf(vals, ws, sc.vbuf, sc.wbuf)), true
 	}
-	// Fallback losses get a scratch copy: the frozen columns are shared
+	// Fallback losses get a scratch copy: the dataset's columns are shared
 	// state and must not reach code that might scribble on its input.
 	vcopy := sc.vals[:len(vals)]
 	copy(vcopy, vals)
@@ -459,14 +459,14 @@ func truthChanged(t data.Type, old, nv data.Value) bool {
 //
 //crh:hotpath
 func (s *solver) scoreEntry(lsum []float64, lcnt []int32, e int, truth data.Value) {
-	c := s.cols
-	M := c.Props
+	c := s.d
+	M := c.NumProps()
 	m := c.EntryProp(e)
-	srcs := c.SrcsOf(e)
-	if c.PropKind[m] == data.Categorical {
+	srcs := c.EntrySources(e)
+	p := s.prep.props[m]
+	if p.Type == data.Categorical {
 		dist := s.dists[e]
-		p := s.prep.props[m]
-		codes := c.Codes(e)
+		codes := c.EntryCodes(e)
 		tc := int(truth.C)
 		for j, k := range srcs {
 			i := int(k)*M + m
@@ -476,7 +476,7 @@ func (s *solver) scoreEntry(lsum []float64, lcnt []int32, e int, truth data.Valu
 		return
 	}
 	std := s.prep.entryStd[e]
-	vals := c.Floats(e)
+	vals := c.EntryFloats(e)
 	for j, k := range srcs {
 		i := int(k)*M + m
 		lsum[i] += s.cfg.ContinuousLoss.Deviation(truth.F, vals[j], std)
@@ -494,8 +494,7 @@ func (s *solver) scoreEntry(lsum []float64, lcnt []int32, e int, truth data.Valu
 // observation count per group, consumed by count-aware weight schemes
 // (reg.CountScheme). Both land in solver-owned buffers.
 func (s *solver) mergeLosses() {
-	c := s.cols
-	K, M := c.Sources, c.Props
+	K, M := s.d.NumSources(), s.d.NumProps()
 	KM := K * M
 	clear(s.sumKM)
 	clear(s.cntKM)
@@ -614,7 +613,7 @@ func (s *solver) objective() float64 {
 // entry scores 1; an entry carried by a narrow weighted majority scores
 // near the majority's share.
 func (s *solver) confidence() []float64 {
-	c := s.cols
+	c := s.d
 	conf := make([]float64, c.NumEntries())
 	s.forShards(func(_ *scratch, _, lo, hi int) {
 		for e := lo; e < hi; e++ {
@@ -623,12 +622,12 @@ func (s *solver) confidence() []float64 {
 				continue
 			}
 			m := c.EntryProp(e)
-			categorical := c.PropKind[m] == data.Categorical
+			categorical := s.prep.props[m].Type == data.Categorical
 			gw := s.weights[s.groupOf[m]]
-			srcs := c.SrcsOf(e)
+			srcs := c.EntrySources(e)
 			var support, total float64
 			if categorical {
-				codes := c.Codes(e)
+				codes := c.EntryCodes(e)
 				for j, k := range srcs {
 					total += gw[k]
 					if int32(codes[j]) == truth.C {
@@ -637,7 +636,7 @@ func (s *solver) confidence() []float64 {
 				}
 			} else {
 				std := stdGuardLocal(s.prep.entryStd[e])
-				vals := c.Floats(e)
+				vals := c.EntryFloats(e)
 				for j, k := range srcs {
 					total += gw[k]
 					if math.Abs(vals[j]-truth.F) <= std {
@@ -652,7 +651,7 @@ func (s *solver) confidence() []float64 {
 				// unweighted share.
 				var n, agree float64
 				if categorical {
-					for _, code := range c.Codes(e) {
+					for _, code := range c.EntryCodes(e) {
 						n++
 						if int32(code) == truth.C {
 							agree++
@@ -660,7 +659,7 @@ func (s *solver) confidence() []float64 {
 					}
 				} else {
 					std := stdGuardLocal(s.prep.entryStd[e])
-					for _, v := range c.Floats(e) {
+					for _, v := range c.EntryFloats(e) {
 						n++
 						if math.Abs(v-truth.F) <= std {
 							agree++

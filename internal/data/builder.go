@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"slices"
 )
 
 // Builder incrementally assembles a Dataset from observation triples.
@@ -119,6 +120,10 @@ func (b *Builder) ObserveIdx(source, object, property int, v Value) {
 	b.obs = append(b.obs, rawObs{source, object, property, v})
 }
 
+// Grow reserves room for n more observations, so recording them does
+// not reallocate.
+func (b *Builder) Grow(n int) { b.obs = slices.Grow(b.obs, n) }
+
 // CatValue interns a categorical value for property p and returns its index.
 func (b *Builder) CatValue(p int, s string) int { return b.props[p].internCat(s) }
 
@@ -179,36 +184,75 @@ func (b *Builder) Row(i int) (source, object, property int, v Value) {
 
 // Build materializes the Dataset. Duplicate observations of the same
 // (source, entry) keep the last value recorded. The Builder remains usable;
-// further observations affect only later Builds.
+// further observations affect only later Builds. Build panics if the
+// Builder holds more than MaxInt32 observations: the int32 claim offsets
+// are half the footprint of int64, and a log beyond 2³¹ rows does not fit
+// the in-process representation anyway.
+//
+// The cost is linear in the observations plus the entries: the rows are
+// counting-sorted straight into the Dataset's columns.
 func (b *Builder) Build() *Dataset {
 	N, M, K := len(b.objects), len(b.props), len(b.sources)
+	NM := N * M
+	if len(b.obs) > math.MaxInt32 {
+		panic(fmt.Sprintf("data: %d observations overflow the int32 claim index", len(b.obs)))
+	}
 	d := &Dataset{
 		objects: append([]string(nil), b.objects...),
 		props:   append([]Property(nil), b.props...),
 		sources: append([]string(nil), b.sources...),
-		obs:     make([][]Value, K),
-		present: make([][]bool, K),
+		off:     make([]int32, NM+1),
+		voff:    make([]int32, NM),
 		counts:  make([]int, K),
 	}
 	for m := range d.props {
 		// The dictionaries are copied, not shared: a later CatValue or
 		// ObserveCat must not grow a dictionary a built Dataset reads.
-		if p := &d.props[m]; p.cats != nil {
+		p := &d.props[m]
+		if p.cats != nil {
 			p.cats = append([]string(nil), p.cats...)
 			p.catByID = maps.Clone(p.catByID)
 		}
-	}
-	for k := 0; k < K; k++ {
-		d.obs[k] = make([]Value, N*M)
-		d.present[k] = make([]bool, N*M)
-	}
-	for _, o := range b.obs {
-		e := o.obj*M + o.prop
-		if !d.present[o.src][e] {
-			d.present[o.src][e] = true
-			d.counts[o.src]++
+		if p.Type == Categorical {
+			d.maxCats = max(d.maxCats, p.NumCats())
 		}
-		d.obs[o.src][e] = o.val
+	}
+	rows, end, nc := b.sortRows(M, K, NM)
+	d.src = make([]uint32, 0, len(rows))
+	d.vf = make([]float64, 0, len(rows)-nc)
+	d.vc = make([]uint32, 0, nc)
+	var lo int32
+	for e := 0; e < NM; e++ {
+		hi := end[e]
+		cat := d.props[e%M].Type == Categorical
+		d.off[e] = int32(len(d.src))
+		if cat {
+			d.voff[e] = int32(len(d.vc))
+		} else {
+			d.voff[e] = int32(len(d.vf))
+		}
+		for j := lo; j < hi; j++ {
+			o := &b.obs[rows[j]]
+			if j+1 < hi && b.obs[rows[j+1]].src == o.src {
+				continue // a later claim by the same source replaces this one
+			}
+			d.src = append(d.src, uint32(o.src))
+			d.counts[o.src]++
+			if cat {
+				d.vc = append(d.vc, uint32(o.val.C))
+			} else {
+				d.vf = append(d.vf, o.val.F)
+			}
+		}
+		d.maxObs = max(d.maxObs, len(d.src)-int(d.off[e]))
+		lo = hi
+	}
+	d.off[NM] = int32(len(d.src))
+	if len(d.src) < len(rows) {
+		// Duplicates were dropped; give back the columns' spare room.
+		d.src = append([]uint32(nil), d.src...)
+		d.vf = append([]float64(nil), d.vf...)
+		d.vc = append([]uint32(nil), d.vc...)
 	}
 	if b.timestamps != nil {
 		d.timestamps = make([]int, N)
@@ -217,4 +261,46 @@ func (b *Builder) Build() *Dataset {
 		}
 	}
 	return d
+}
+
+// sortRows orders the recorded rows entry-major: a counting sort by
+// source, then a stable one by entry, so each entry's rows run in
+// ascending source order and a source's repeated claims in recording
+// order. It returns the row indices, end[e] one past entry e's last row,
+// and how many rows fall on categorical properties.
+func (b *Builder) sortRows(M, K, NM int) (rows, end []int32, nc int) {
+	next := make([]int32, K)
+	end = make([]int32, NM)
+	for i := range b.obs {
+		o := &b.obs[i]
+		next[o.src]++
+		end[o.obj*M+o.prop]++
+	}
+	var at int32
+	for k, n := range next {
+		next[k] = at
+		at += n
+	}
+	at = 0
+	for e, n := range end {
+		end[e] = at
+		at += n
+		if b.props[e%M].Type == Categorical {
+			nc += int(n)
+		}
+	}
+	bySrc := make([]int32, len(b.obs))
+	for i := range b.obs {
+		k := b.obs[i].src
+		bySrc[next[k]] = int32(i)
+		next[k]++
+	}
+	rows = make([]int32, len(b.obs))
+	for _, i := range bySrc {
+		o := &b.obs[i]
+		e := o.obj*M + o.prop
+		rows[end[e]] = i
+		end[e]++ // ends as one past the entry's last row
+	}
+	return rows, end, nc
 }

@@ -19,7 +19,7 @@ type layerRule struct {
 // service layers, and the server subsystem stays private to its binary.
 var layerRules = []layerRule{
 	{
-		From:      []string{"internal/stats", "internal/loss", "internal/data", "internal/col"},
+		From:      []string{"internal/stats", "internal/loss", "internal/data"},
 		Forbidden: []string{"internal/core", "internal/server", "internal/experiments"},
 		Why:       "the numeric substrate must not depend on the solver, server, or experiment layers",
 	},
@@ -51,20 +51,6 @@ var serverImporters = []string{serverDir, "cmd/crhd"}
 const walDir = "internal/wal"
 
 var walImporters = []string{walDir, serverDir, "cmd/crhbench"} // see walDir
-
-// colDir is the columnar solver substrate. It sits between data and
-// core: colImporters lists the only directories allowed to import it
-// (the solver that runs on the frozen columns), and colAllowed the only
-// internal subtree it may import (the dataset model it freezes). Both
-// fences keep the frozen layout a solver implementation detail — every
-// other consumer sees datasets through internal/data or results through
-// internal/core.
-const colDir = "internal/col"
-
-var (
-	colImporters = []string{colDir, "internal/core"} // see colDir
-	colAllowed   = []string{"internal/data"}         // see colDir
-)
 
 // crhloadDir is the load-generator binary; crhloadAllowed the only
 // internal subtree it may import. crhload exists to measure crhd from the
@@ -118,16 +104,6 @@ func runLayering(pass *Pass) {
 					from = "the root package"
 				}
 				pass.Reportf(imp.Pos(), "%s must not import %s: the durability substrate is private to internal/server (cmd/crhbench's append benchmark excepted)", from, walDir)
-			}
-			if underAny(target, []string{colDir}) && !underAny(rel, colImporters) {
-				from := rel
-				if from == "" {
-					from = "the root package"
-				}
-				pass.Reportf(imp.Pos(), "%s must not import %s: the columnar layout is private to internal/core; consume datasets via internal/data or solve via internal/core", from, colDir)
-			}
-			if underAny(rel, []string{colDir}) && strings.HasPrefix(target, "internal/") && !underAny(target, colAllowed) && !underAny(target, []string{colDir}) {
-				pass.Reportf(imp.Pos(), "%s must not import %s: the columnar freeze depends only on the dataset model (internal/data)", rel, target)
 			}
 			if underAny(rel, []string{crhloadDir}) && strings.HasPrefix(target, "internal/") && !underAny(target, crhloadAllowed) {
 				pass.Reportf(imp.Pos(), "%s must not import %s: the load generator measures crhd over its public HTTP surface and may share only internal/obs", rel, target)

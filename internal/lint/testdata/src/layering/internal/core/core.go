@@ -2,7 +2,6 @@
 package core
 
 import (
-	_ "github.com/crhkit/crh/internal/col"
 	_ "github.com/crhkit/crh/internal/obs"
 	_ "github.com/crhkit/crh/internal/stats"
 )

@@ -3,6 +3,5 @@
 package stream
 
 import (
-	_ "github.com/crhkit/crh/internal/col" // want "internal/stream must not import internal/col: the columnar layout is private to internal/core"
 	_ "github.com/crhkit/crh/internal/wal" // want "internal/stream must not import internal/wal"
 )

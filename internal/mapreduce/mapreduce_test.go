@@ -187,7 +187,7 @@ func TestTuples(t *testing.T) {
 	}
 	for _, r := range recs {
 		tp := r.(Tuple)
-		if !d.HasEntry(int(tp.SID), int(tp.EID)) {
+		if e := int(tp.EID); !d.Has(int(tp.SID), d.EntryObject(e), d.EntryProp(e)) {
 			t.Fatal("tuple references missing observation")
 		}
 	}

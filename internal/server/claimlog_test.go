@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -268,14 +269,19 @@ func sameDataset(t *testing.T, at string, got, want *data.Dataset) {
 			}
 		}
 	}
-	for k := 0; k < want.NumSources(); k++ {
-		for en := 0; en < want.NumEntries(); en++ {
-			gv, wv := got.GetEntry(k, en), want.GetEntry(k, en)
-			if got.HasEntry(k, en) != want.HasEntry(k, en) ||
-				gv.C != wv.C || math.Float64bits(gv.F) != math.Float64bits(wv.F) {
-				t.Fatalf("%s: source %d entry %d is %v/%+v, want %v/%+v", at, k, en,
-					got.HasEntry(k, en), gv, want.HasEntry(k, en), wv)
-			}
+	type claim struct {
+		k int
+		c int32
+		f uint64
+	}
+	claims := func(d *data.Dataset, en int) []claim {
+		var out []claim
+		d.ForEntry(en, func(k int, v data.Value) { out = append(out, claim{k, v.C, math.Float64bits(v.F)}) })
+		return out
+	}
+	for en := 0; en < want.NumEntries(); en++ {
+		if g, w := claims(got, en), claims(want, en); !slices.Equal(g, w) {
+			t.Fatalf("%s: entry %d claims %+v, want %+v", at, en, g, w)
 		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"io"
 	"math"
 	"regexp"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -34,15 +35,15 @@ type Snapshot struct {
 	// dataset.
 	HasTruth bool
 
-	// prepared lazily freezes Data's columnar solver view on the first
-	// CRH resolve and shares it with every later resolve of this
-	// snapshot — the freeze is paid once per ingested version, not once
+	// prepared lazily computes Data's solver statistics on the first
+	// CRH resolve and shares them with every later resolve of this
+	// snapshot — preparation is paid once per ingested version, not once
 	// per request.
 	prepOnce sync.Once
 	prepared *core.Prepared
 }
 
-// Prepared returns the snapshot's frozen columnar view, building it on
+// Prepared returns the snapshot's prepared solver view, building it on
 // first use. Safe for concurrent resolves: core.Prepared is immutable.
 func (s *Snapshot) Prepared() *core.Prepared {
 	s.prepOnce.Do(func() { s.prepared = core.Prepare(s.Data) })
@@ -272,6 +273,8 @@ func truthRecs(d *data.Dataset, gt *data.Table) []gtRec {
 // their first claim, so ones only the ground truth names stay out.
 func (l *claimLog) absorb(d *data.Dataset) {
 	b := l.b
+	b.Grow(d.NumObservations())
+	l.stamps = slices.Grow(l.stamps, d.NumObservations())
 	srcID := make([]int, d.NumSources())
 	for k := range srcID {
 		srcID[k] = b.Source(d.SourceName(k))

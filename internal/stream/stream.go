@@ -171,9 +171,8 @@ func (p *Processor) grow(numSources int) {
 // initialized on first appearance.
 func (p *Processor) Process(chunk *data.Dataset) *data.Table {
 	p.grow(chunk.NumSources())
-	// Freeze the chunk's columnar view once and share it between the
-	// truth pass and the loss pass — the package-level helpers would
-	// re-freeze for each.
+	// Prepare the chunk once and share it between the truth pass and
+	// the loss pass — the package-level helpers would prepare for each.
 	prep := core.Prepare(chunk)
 	truths := prep.AggregateTruths(p.weights, p.cfg.Core)
 	losses := prep.SourceLosses(truths, p.weights, p.cfg.Core)

@@ -318,11 +318,12 @@ func TestSimulatorsDeterministic(t *testing.T) {
 		t.Fatal("weather not deterministic")
 	}
 	for e := 0; e < d1.NumEntries(); e++ {
+		i, m := d1.EntryObject(e), d1.EntryProp(e)
 		for k := 0; k < d1.NumSources(); k++ {
-			if d1.HasEntry(k, e) != d2.HasEntry(k, e) {
+			if d1.Has(k, i, m) != d2.Has(k, i, m) {
 				t.Fatal("weather presence not deterministic")
 			}
-			if d1.HasEntry(k, e) && d1.GetEntry(k, e) != d2.GetEntry(k, e) {
+			if d1.Has(k, i, m) && d1.Get(k, i, m) != d2.Get(k, i, m) {
 				t.Fatal("weather values not deterministic")
 			}
 		}

@@ -27,7 +27,8 @@
 #                      solver's claim scorings per run (I+1 for I
 #                      iterations), plus the
 #                      memory pins (a finished multi-worker run keeps no
-#                      Prepared reachable; a built Dataset owns its
+#                      Prepared reachable, nor does a pool offer no
+#                      worker took; a built Dataset owns its
 #                      category dictionaries), on their own so a
 #                      regression in either hot path is named in the logs
 #                      (the golden byte-equality suite already ran inside
@@ -36,8 +37,8 @@
 #                      own Go module, which ./... above does not reach
 #  10. coverage floor  go test -coverprofile over the solver and data
 #                      layers; fails if combined statement coverage of
-#                      internal/core + internal/data + internal/col
-#                      falls below the floor, and archives the profile
+#                      internal/core + internal/data falls below
+#                      the floor, and archives the profile
 #                      under results/coverage.out
 #  11. lint self-check every analyzer crhlint -list reports must have a
 #                      golden testdata package, and the full -json report
@@ -74,7 +75,7 @@ make loadcheck
 
 echo "==> allocation and memory pins (encode, solver iterations and passes, weighted median, run retention, dictionary copies)"
 go test -run 'TestEncodeAllocs' -count=1 ./internal/server/
-go test -run 'TestSolverIterationAllocFree|TestSolverRunReusesPrepared|TestParallelRunReleasesPrepared|TestRunScoringPasses' -count=1 ./internal/core/
+go test -run 'TestSolverIterationAllocFree|TestSolverRunReusesPrepared|TestParallelRunReleasesPrepared|TestPoolReleasesUntakenOffers|TestRunScoringPasses' -count=1 ./internal/core/
 go test -run 'TestWeightedMedianBufAllocFree' -count=1 ./internal/stats/
 go test -run 'TestBuildCopiesCategoryDictionaries' -count=1 ./internal/data/
 
@@ -84,12 +85,12 @@ go -C perfbench vet ./... && go -C perfbench test ./...
 echo "==> coverage floor (solver + data layers)"
 mkdir -p results
 go test -count=1 -coverprofile=results/coverage.out \
-	-coverpkg=./internal/core/...,./internal/data/...,./internal/col/... \
-	./internal/core/... ./internal/data/... ./internal/col/... > /dev/null
+	-coverpkg=./internal/core/...,./internal/data/... \
+	./internal/core/... ./internal/data/... > /dev/null
 total=$(go tool cover -func=results/coverage.out | awk '/^total:/ {sub(/%/, "", $3); print $3}')
 floor=85.0
 if awk -v t="$total" -v f="$floor" 'BEGIN { exit !(t < f) }'; then
-	echo "coverage floor: ${total}% < ${floor}% over internal/{core,data,col}" >&2
+	echo "coverage floor: ${total}% < ${floor}% over internal/{core,data}" >&2
 	exit 1
 fi
 echo "coverage floor: ${total}% >= ${floor}% (profile archived at results/coverage.out)"
