@@ -126,8 +126,7 @@ func diffColumns(got, want *Dataset) string {
 }
 
 // TestBuildMatchesLastWinsModelQuick: Build's columns equal the model's,
-// the accessors read them back, a second Build of the same log is
-// identical, and every built Dataset validates.
+// the accessors read them back, and every built Dataset validates.
 func TestBuildMatchesLastWinsModelQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		b := randomLog(seed)
@@ -135,10 +134,6 @@ func TestBuildMatchesLastWinsModelQuick(t *testing.T) {
 		want := lastWins(b)
 		if diff := diffColumns(d, want); diff != "" {
 			t.Logf("seed %d: %s", seed, diff)
-			return false
-		}
-		if diff := diffColumns(b.Build(), d); diff != "" {
-			t.Logf("seed %d: rebuild: %s", seed, diff)
 			return false
 		}
 		if err := d.Validate(); err != nil {
@@ -171,6 +166,209 @@ func TestBuildMatchesLastWinsModelQuick(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestBuildColumnsMatchForEntry: on a dense mixed log with re-claimed
+// cells, each entry's typed columns read back the last claim of every
+// observing source, in ascending source order and bit for bit, and
+// ForEntry walks the same claims.
+func TestBuildColumnsMatchForEntry(t *testing.T) {
+	const K, N = 9, 120
+	rng := rand.New(rand.NewSource(1))
+	b := NewBuilder()
+	pf := b.MustProperty("f", Continuous)
+	pc := b.MustProperty("c", Categorical)
+	for _, s := range []string{"x", "y", "z", "w"} {
+		b.CatValue(pc, s)
+	}
+	type claim struct {
+		ok bool
+		v  Value
+	}
+	want := make([][K]claim, N*b.NumProps())
+	observe := func(k, i, m int, v Value) {
+		b.ObserveIdx(k, i, m, v)
+		want[i*b.NumProps()+m][k] = claim{true, v}
+	}
+	for i := 0; i < N; i++ {
+		obj := b.Object(fmt.Sprintf("o%04d", i))
+		for k := 0; k < K; k++ {
+			src := b.Source(fmt.Sprintf("s%02d", k))
+			if rng.Float64() < 0.7 {
+				observe(src, obj, pf, Float(rng.NormFloat64()*10))
+			}
+			if rng.Float64() < 0.7 {
+				observe(src, obj, pc, Cat(rng.Intn(4)))
+			}
+		}
+	}
+	for r := 0; r < N; r++ {
+		observe(rng.Intn(K), rng.Intn(N), pf, Float(rng.NormFloat64()*10))
+		observe(rng.Intn(K), rng.Intn(N), pc, Cat(rng.Intn(4)))
+	}
+	d := b.Build()
+	total := 0
+	for e := 0; e < d.NumEntries(); e++ {
+		var srcs []uint32
+		var vals []Value
+		for k, c := range want[e] {
+			if c.ok {
+				srcs = append(srcs, uint32(k))
+				vals = append(vals, c.v)
+			}
+		}
+		total += len(srcs)
+		if got := d.EntrySources(e); !slices.Equal(got, srcs) || d.EntryObservers(e) != len(srcs) {
+			t.Fatalf("entry %d: sources %v (%d observers), want %v", e, got, d.EntryObservers(e), srcs)
+		}
+		if d.Prop(d.EntryProp(e)).Type == Categorical {
+			got := d.EntryCodes(e)
+			if len(got) != len(srcs) {
+				t.Fatalf("entry %d: %d codes, want %d", e, len(got), len(srcs))
+			}
+			for j, c := range got {
+				if c != uint32(vals[j].C) {
+					t.Fatalf("entry %d claim %d: code %d, want %d", e, j, c, vals[j].C)
+				}
+			}
+		} else {
+			got := d.EntryFloats(e)
+			if len(got) != len(srcs) {
+				t.Fatalf("entry %d: %d values, want %d", e, len(got), len(srcs))
+			}
+			for j, v := range got {
+				if math.Float64bits(v) != math.Float64bits(vals[j].F) {
+					t.Fatalf("entry %d claim %d: value %v, want %v", e, j, v, vals[j].F)
+				}
+			}
+		}
+		j := 0
+		d.ForEntry(e, func(k int, v Value) {
+			if j >= len(srcs) || k != int(srcs[j]) || v != vals[j] {
+				t.Fatalf("entry %d: ForEntry's claim %d is source %d %+v, want the columns' claims %v %+v", e, j, k, v, srcs, vals)
+			}
+			j++
+		})
+		if j != len(srcs) {
+			t.Fatalf("entry %d: ForEntry walked %d claims, want %d", e, j, len(srcs))
+		}
+	}
+	if d.NumObservations() != total {
+		t.Fatalf("%d observations, want %d", d.NumObservations(), total)
+	}
+}
+
+// TestBuildEmptyEntries: entries and sources nobody claimed get empty
+// claim ranges and zero counts, and MaxObservers reflects the densest
+// entry.
+func TestBuildEmptyEntries(t *testing.T) {
+	b := NewBuilder()
+	pf := b.MustProperty("f", Continuous)
+	b.MustProperty("c", Categorical)
+	a := b.Object("a")
+	b.Object("b")
+	b.Source("idle")
+	b.ObserveIdx(b.Source("s0"), a, pf, Float(1))
+	b.ObserveIdx(b.Source("s1"), a, pf, Float(2))
+	d := b.Build()
+	if err := d.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	// Entries run (a,f), (a,c), (b,f), (b,c).
+	for e, want := range []int{2, 0, 0, 0} {
+		if got := d.EntryObservers(e); got != want || len(d.EntrySources(e)) != want {
+			t.Fatalf("entry %d: %d observers, %d sources, want %d", e, got, len(d.EntrySources(e)), want)
+		}
+	}
+	if len(d.EntryCodes(1)) != 0 || len(d.EntryFloats(2)) != 0 || len(d.EntryCodes(3)) != 0 {
+		t.Fatal("an unclaimed entry has values")
+	}
+	if d.MaxObservers() != 2 || d.MaxCats() != 0 {
+		t.Fatalf("extents %d/%d, want 2/0", d.MaxObservers(), d.MaxCats())
+	}
+	if got := d.EntrySources(0); !slices.Equal(got, []uint32{1, 2}) {
+		t.Fatalf("entry 0 sources %v, want [1 2]", got)
+	}
+	if got := d.EntryFloats(0); !slices.Equal(got, []float64{1, 2}) {
+		t.Fatalf("entry 0 floats %v, want [1 2]", got)
+	}
+	for k, want := range []int{0, 1, 1} {
+		if got := d.ObservationCount(k); got != want {
+			t.Fatalf("source %d: %d observations, want %d", k, got, want)
+		}
+	}
+}
+
+// TestBuildDeterministicRebuildQuick: building the same log twice gives
+// identical columns, counts, extents and category dictionaries.
+func TestBuildDeterministicRebuildQuick(t *testing.T) {
+	f := func(seed int64) bool {
+		b := randomLog(seed)
+		x, y := b.Build(), b.Build()
+		if diff := diffColumns(y, x); diff != "" {
+			t.Logf("seed %d: rebuild: %s", seed, diff)
+			return false
+		}
+		for m := 0; m < x.NumProps(); m++ {
+			if px, py := x.Prop(m), y.Prop(m); !slices.Equal(px.cats, py.cats) {
+				t.Logf("seed %d: property %d categories %v, then %v", seed, m, px.cats, py.cats)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestCategoryCodesDeterministicAcrossDatasetRebuildsQuick: rebuilding a
+// dataset from scratch, by replaying the same named claims into a fresh
+// Builder, hands out the same category codes: each is its category's
+// rank by first mention, so the value columns agree code for code.
+func TestCategoryCodesDeterministicAcrossDatasetRebuildsQuick(t *testing.T) {
+	type claim struct{ src, obj, prop, cat string }
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		claims := make([]claim, 1+rng.Intn(60))
+		for r := range claims {
+			claims[r] = claim{
+				fmt.Sprintf("s%d", rng.Intn(4)), fmt.Sprintf("o%d", rng.Intn(6)),
+				fmt.Sprintf("k%d", rng.Intn(3)), fmt.Sprintf("v%d", rng.Intn(8)),
+			}
+		}
+		replay := func() *Dataset {
+			b := NewBuilder()
+			for _, c := range claims {
+				if err := b.ObserveCat(c.src, c.obj, c.prop, c.cat); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return b.Build()
+		}
+		x, y := replay(), replay()
+		if diff := diffColumns(y, x); diff != "" {
+			t.Logf("seed %d: replay: %s", seed, diff)
+			return false
+		}
+		first := make(map[string][]string) // property → categories by first mention
+		for _, c := range claims {
+			if !slices.Contains(first[c.prop], c.cat) {
+				first[c.prop] = append(first[c.prop], c.cat)
+			}
+		}
+		for m := 0; m < x.NumProps(); m++ {
+			px, py := x.Prop(m), y.Prop(m)
+			if want := first[px.Name]; !slices.Equal(px.cats, want) || !slices.Equal(py.cats, want) {
+				t.Logf("seed %d: property %s categories %v and %v, want %v", seed, px.Name, px.cats, py.cats, want)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
 }
