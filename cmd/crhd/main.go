@@ -45,6 +45,21 @@ import (
 	"github.com/crhkit/crh/internal/server"
 )
 
+// Connection timeouts: a client has readHeaderTimeout to send a
+// request's headers, and a keep-alive connection idle for idleTimeout is
+// closed. There is deliberately no read or write timeout, so a
+// multi-megabyte upload or a long solve is never cut off.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer returns the http.Server crhd serves handler with, its
+// header and idle timeouts set to readHeader and idle.
+func newHTTPServer(handler http.Handler, readHeader, idle time.Duration) *http.Server {
+	return &http.Server{Handler: handler, ReadHeaderTimeout: readHeader, IdleTimeout: idle}
+}
+
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -161,7 +176,7 @@ func run(ctx context.Context, args []string, stderr io.Writer, ready chan<- stri
 	}
 	handler = requestLog(logger, *slow, handler)
 
-	hs := &http.Server{Handler: handler}
+	hs := newHTTPServer(handler, readHeaderTimeout, idleTimeout)
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -85,19 +86,61 @@ func TestGenRequestDeterministic(t *testing.T) {
 	}
 }
 
+// TestMergedQuantile: the total row's quantiles come from the
+// endpoints' histograms merged, so they fall in the buckets the
+// combined traffic fills.
 func TestMergedQuantile(t *testing.T) {
-	bounds := []float64{1, 2, 4}
-	// 10 obs in (0,1], 10 in (1,2], none beyond.
-	counts := []int64{10, 10, 0, 0}
-	if q := mergedQuantile(bounds, counts, 20, 0.25); q <= 0 || q > 1 {
-		t.Errorf("p25 = %v, want in (0,1]", q)
+	rm := newRunMetrics()
+	for i := 0; i < 10; i++ {
+		rm.eps[epResolve].record(800*time.Microsecond, nil)    // (0.5ms, 1ms]
+		rm.eps[epIngest].record(1800*time.Microsecond, nil)    // (1ms, 2.5ms]
+		rm.eps[epIncremental].record(40*time.Millisecond, nil) // (25ms, 50ms]
 	}
-	if q := mergedQuantile(bounds, counts, 20, 0.95); q <= 1 || q > 2 {
-		t.Errorf("p95 = %v, want in (1,2]", q)
+	rec := buildRecord("t", "t", "closed", 1, 0, time.Second, 1, mix{1, 1, 1}, rm, nil, nil)
+	tot := rec.Total
+	if tot.P50Ms == nil || tot.P95Ms == nil || tot.MaxMs == nil || tot.MeanMs == nil {
+		t.Fatalf("total row lacks latencies: %+v", tot)
 	}
-	// Overflow bucket clamps to the last bound.
-	if q := mergedQuantile(bounds, []int64{0, 0, 0, 5}, 5, 0.5); q != 4 {
-		t.Errorf("overflow quantile = %v, want 4 (clamped)", q)
+	if *tot.P50Ms <= 1 || *tot.P50Ms > 2.5 {
+		t.Errorf("total p50 = %.3f ms, want in (1, 2.5]", *tot.P50Ms)
+	}
+	if *tot.P95Ms <= 25 || *tot.P95Ms > 40 {
+		t.Errorf("total p95 = %.3f ms, want in (25, 40]", *tot.P95Ms)
+	}
+	if *tot.MaxMs != 40 || math.Abs(*tot.MeanMs-(0.8+1.8+40)/3) > 1e-9 {
+		t.Errorf("total max %.3f ms, mean %.3f ms, want 40 and the samples' mean", *tot.MaxMs, *tot.MeanMs)
+	}
+	if rec.Total.QPS != 30 || rec.Total.Requests != 30 {
+		t.Errorf("total %d requests at %v qps, want 30 at 30", rec.Total.Requests, rec.Total.QPS)
+	}
+}
+
+// TestQuantilesNeverExceedMax: with every sample at the bottom of a wide
+// bucket, interpolating inside the bucket puts p95 and p99 above every
+// sample; each reported quantile must stay at or below the reported max,
+// on the endpoint rows and the total.
+func TestQuantilesNeverExceedMax(t *testing.T) {
+	rm := newRunMetrics()
+	for i := 0; i < 100; i++ {
+		rm.eps[epResolve].record(10500*time.Microsecond, nil) // bucket (10ms, 25ms]
+		rm.eps[epIngest].record(time.Duration(11000+i)*time.Microsecond, nil)
+	}
+	rec := buildRecord("t", "t", "closed", 1, 0, time.Second, 1, mix{1, 1, 0}, rm, nil, nil)
+	rows := map[string]endpointReport{"total": rec.Total}
+	for name, rep := range rec.Endpoints {
+		rows[name] = rep
+	}
+	for name, rep := range rows {
+		if rep.MaxMs == nil {
+			t.Fatalf("%s: no max", name)
+		}
+		for q, p := range map[string]*float64{"p50": rep.P50Ms, "p95": rep.P95Ms, "p99": rep.P99Ms} {
+			if p == nil {
+				t.Errorf("%s: no %s", name, q)
+			} else if *p > *rep.MaxMs {
+				t.Errorf("%s %s = %.3f ms, above the max %.3f ms", name, q, *p, *rep.MaxMs)
+			}
+		}
 	}
 }
 

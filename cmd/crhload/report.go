@@ -4,12 +4,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"runtime"
 	"sort"
 	"time"
+
+	"github.com/crhkit/crh/internal/obs"
 )
 
 // endpointReport is one endpoint's measured outcome in the
@@ -79,15 +80,27 @@ func buildEndpointReport(m *epMetrics, wall time.Duration) endpointReport {
 	if wall > 0 {
 		rep.QPS = float64(snap.Count) / wall.Seconds()
 	}
-	if snap.Count > 0 {
-		q := func(v float64) *float64 { return &v }
-		rep.P50Ms = q(snap.Quantile(0.50) * 1e3)
-		rep.P95Ms = q(snap.Quantile(0.95) * 1e3)
-		rep.P99Ms = q(snap.Quantile(0.99) * 1e3)
-		rep.MaxMs = q(float64(m.maxNS.Load()) / 1e6)
-		rep.MeanMs = q(snap.Sum / float64(snap.Count) * 1e3)
-	}
+	setLatencies(&rep, snap, m.maxNS.Load())
 	return rep
+}
+
+// setLatencies fills rep's latency fields from a histogram snapshot and
+// the largest latency observed, maxNS; it leaves them unset when the
+// snapshot is empty. A quantile interpolates linearly inside its bucket,
+// so with the samples at the bottom of a wide bucket it can land above
+// all of them: each quantile is clamped to the max.
+func setLatencies(rep *endpointReport, snap obs.HistogramSnapshot, maxNS int64) {
+	if snap.Count == 0 {
+		return
+	}
+	maxMs := float64(maxNS) / 1e6
+	q := func(p float64) *float64 {
+		v := min(snap.Quantile(p)*1e3, maxMs)
+		return &v
+	}
+	mean := snap.Sum / float64(snap.Count) * 1e3
+	rep.P50Ms, rep.P95Ms, rep.P99Ms = q(0.50), q(0.95), q(0.99)
+	rep.MaxMs, rep.MeanMs = &maxMs, &mean
 }
 
 // buildRecord assembles the full run record.
@@ -106,13 +119,10 @@ func buildRecord(name, profile, mode string, conc int, rate float64, wall time.D
 		Endpoints:      make(map[string]endpointReport, numEndpoints),
 		LateDispatches: rm.late.Load(),
 	}
-	var totalReq, totalErr, totalOK int64
-	var sumSec float64
-	var maxNS int64
-	// Merge per-endpoint histograms for the total row: counts and sums
-	// add; quantiles for the aggregate come from the merged buckets.
-	var merged []int64
-	var bounds []float64
+	var totalReq, totalErr, maxNS int64
+	// The total row's quantiles come from the per-endpoint histograms
+	// merged: counts and sums add.
+	var total obs.HistogramSnapshot
 	for i, em := range rm.eps {
 		if em.requests.Load() == 0 && m[i] == 0 {
 			continue
@@ -122,65 +132,26 @@ func buildRecord(name, profile, mode string, conc int, rate float64, wall time.D
 		totalReq += rep.Requests
 		totalErr += rep.Errors
 		snap := em.hist.Snapshot()
-		totalOK += snap.Count
-		sumSec += snap.Sum
-		if em.maxNS.Load() > maxNS {
-			maxNS = em.maxNS.Load()
-		}
-		if merged == nil {
-			merged = make([]int64, len(snap.Counts))
-			bounds = snap.Bounds
+		if total.Counts == nil {
+			total.Bounds, total.Counts = snap.Bounds, make([]int64, len(snap.Counts))
 		}
 		for j, c := range snap.Counts {
-			merged[j] += c
+			total.Counts[j] += c
 		}
+		total.Count += snap.Count
+		total.Sum += snap.Sum
+		maxNS = max(maxNS, em.maxNS.Load())
 	}
 	rec.Total = endpointReport{Requests: totalReq, Errors: totalErr}
 	if wall > 0 {
-		rec.Total.QPS = float64(totalOK) / wall.Seconds()
+		rec.Total.QPS = float64(total.Count) / wall.Seconds()
 	}
-	if totalOK > 0 {
-		q := func(v float64) *float64 { return &v }
-		rec.Total.P50Ms = q(mergedQuantile(bounds, merged, totalOK, 0.50) * 1e3)
-		rec.Total.P95Ms = q(mergedQuantile(bounds, merged, totalOK, 0.95) * 1e3)
-		rec.Total.P99Ms = q(mergedQuantile(bounds, merged, totalOK, 0.99) * 1e3)
-		rec.Total.MaxMs = q(float64(maxNS) / 1e6)
-		rec.Total.MeanMs = q(sumSec / float64(totalOK) * 1e3)
-	}
+	setLatencies(&rec.Total, total, maxNS)
 	if totalReq > 0 {
 		rec.ErrorRate = float64(totalErr) / float64(totalReq)
 	}
 	rec.StageSharesPct = stageShares(before, after)
 	return rec
-}
-
-// mergedQuantile estimates a quantile from merged histogram buckets by
-// the same linear interpolation obs.HistogramSnapshot.Quantile uses.
-func mergedQuantile(bounds []float64, counts []int64, total int64, q float64) float64 {
-	rank := q * float64(total)
-	var cum int64
-	for i, c := range counts {
-		cum += c
-		if float64(cum) < rank {
-			continue
-		}
-		if i == len(bounds) { // +Inf overflow bucket: clamp to last bound
-			if len(bounds) == 0 {
-				return 0
-			}
-			return bounds[len(bounds)-1]
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = bounds[i-1]
-		}
-		frac := 1.0
-		if c > 0 {
-			frac = (rank - float64(cum-c)) / float64(c)
-		}
-		return lo + (bounds[i]-lo)*frac
-	}
-	return math.NaN() // total == 0; callers guard
 }
 
 // stageShares computes each pipeline stage's percentage of server-side

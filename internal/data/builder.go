@@ -19,8 +19,17 @@ type Builder struct {
 	sources  []string
 	srcByID  map[string]int
 
-	obs        []rawObs
-	timestamps map[int]int // object index -> timestamp
+	obs []rawObs
+	// timestamps[i] is object i's timestamp: nil until the first
+	// SetTimestamp, and shorter than objects when the last objects
+	// interned carry none.
+	timestamps []int
+
+	// last is the Dataset the previous Build returned and built the
+	// number of rows it covers; the next Build folds only the rows
+	// recorded since into it.
+	last  *Dataset
+	built int
 }
 
 type rawObs struct {
@@ -130,17 +139,12 @@ func (b *Builder) CatValue(p int, s string) int { return b.props[p].internCat(s)
 // SetTimestamp attaches a collection timestamp to an object (creating the
 // object if needed). Datasets where any object has a timestamp report
 // HasTimestamps; untimestamped objects default to 0.
-func (b *Builder) SetTimestamp(object string, t int) {
-	if b.timestamps == nil {
-		b.timestamps = make(map[int]int)
-	}
-	b.timestamps[b.Object(object)] = t
-}
+func (b *Builder) SetTimestamp(object string, t int) { b.SetTimestampIdx(b.Object(object), t) }
 
 // SetTimestampIdx is SetTimestamp by object index.
 func (b *Builder) SetTimestampIdx(object, t int) {
-	if b.timestamps == nil {
-		b.timestamps = make(map[int]int)
+	if n := object + 1 - len(b.timestamps); n > 0 {
+		b.timestamps = append(b.timestamps, make([]int, n)...)
 	}
 	b.timestamps[object] = t
 }
@@ -189,92 +193,99 @@ func (b *Builder) Row(i int) (source, object, property int, v Value) {
 // are half the footprint of int64, and a log beyond 2³¹ rows does not fit
 // the in-process representation anyway.
 //
-// The cost is linear in the observations plus the entries: the rows are
-// counting-sorted straight into the Dataset's columns.
+// Build is incremental: the Builder keeps the Dataset it last built, so
+// that Dataset stays reachable as long as the Builder does, and folds
+// only the rows recorded since into it. Those rows are counting-sorted
+// by entry; one walk of the entry grid then merges each entry's previous
+// claims with its new rows, which copies an untouched entry's. The
+// cost is linear in the new rows plus the entries and the claims copied,
+// not in the log's rows; the first Build sorts every row. Either way the
+// Dataset equals a fresh Builder's Build of the same log.
 func (b *Builder) Build() *Dataset {
 	N, M, K := len(b.objects), len(b.props), len(b.sources)
 	NM := N * M
 	if len(b.obs) > math.MaxInt32 {
 		panic(fmt.Sprintf("data: %d observations overflow the int32 claim index", len(b.obs)))
 	}
+	prev := b.last
+	if prev == nil {
+		prev = &Dataset{off: make([]int32, 1)}
+	}
+	// Names are append-only in the Builder, so the Dataset shares them,
+	// capped: a later interning never shows through.
 	d := &Dataset{
-		objects: append([]string(nil), b.objects...),
-		props:   append([]Property(nil), b.props...),
-		sources: append([]string(nil), b.sources...),
+		objects: b.objects[:N:N],
+		props:   make([]Property, M),
+		sources: b.sources[:K:K],
 		off:     make([]int32, NM+1),
 		voff:    make([]int32, NM),
 		counts:  make([]int, K),
+		maxObs:  prev.maxObs,
 	}
 	for m := range d.props {
-		// The dictionaries are copied, not shared: a later CatValue or
-		// ObserveCat must not grow a dictionary a built Dataset reads.
+		// A built Dataset owns its dictionaries: a later CatValue or
+		// ObserveCat must not grow one it reads. A dictionary that did
+		// not grow since the last Build is shared with that Dataset.
 		p := &d.props[m]
-		if p.cats != nil {
-			p.cats = append([]string(nil), p.cats...)
+		if *p = b.props[m]; m < len(prev.props) && prev.props[m].NumCats() == p.NumCats() {
+			*p = prev.props[m]
+		} else if p.cats != nil {
+			p.cats = slices.Clone(p.cats)
 			p.catByID = maps.Clone(p.catByID)
 		}
 		if p.Type == Categorical {
 			d.maxCats = max(d.maxCats, p.NumCats())
 		}
 	}
-	rows, end, nc := b.sortRows(M, K, NM)
-	d.src = make([]uint32, 0, len(rows))
-	d.vf = make([]float64, 0, len(rows)-nc)
-	d.vc = make([]uint32, 0, nc)
-	var lo int32
-	for e := 0; e < NM; e++ {
-		hi := end[e]
-		cat := d.props[e%M].Type == Categorical
-		d.off[e] = int32(len(d.src))
-		if cat {
-			d.voff[e] = int32(len(d.vc))
+	copy(d.counts, prev.counts)
+	f := fold{d: d, prev: prev, M: M, pN: prev.NumObjects(), pM: prev.NumProps()}
+	rows, spans := b.sortRows(b.built, M, K, NM)
+
+	// The columns have room for the previous claims plus every new row
+	// sortRows kept. A new row that replaces a previous claim leaves one
+	// slot unused, so the spare capacity is at most those rows.
+	nf, nc := len(prev.vf), len(prev.vc)
+	for e, s := range spans {
+		if d.props[e%M].Type == Categorical {
+			nc += int(s.hi - s.lo)
 		} else {
-			d.voff[e] = int32(len(d.vf))
+			nf += int(s.hi - s.lo)
 		}
-		for j := lo; j < hi; j++ {
-			o := &b.obs[rows[j]]
-			if j+1 < hi && b.obs[rows[j+1]].src == o.src {
-				continue // a later claim by the same source replaces this one
-			}
-			d.src = append(d.src, uint32(o.src))
-			d.counts[o.src]++
-			if cat {
-				d.vc = append(d.vc, uint32(o.val.C))
-			} else {
-				d.vf = append(d.vf, o.val.F)
-			}
-		}
-		d.maxObs = max(d.maxObs, len(d.src)-int(d.off[e]))
-		lo = hi
 	}
-	d.off[NM] = int32(len(d.src))
-	if len(d.src) < len(rows) {
-		// Duplicates were dropped; give back the columns' spare room.
-		d.src = append([]uint32(nil), d.src...)
-		d.vf = append([]float64(nil), d.vf...)
-		d.vc = append([]uint32(nil), d.vc...)
+	d.src = make([]uint32, nf+nc)
+	d.vf = make([]float64, nf)
+	d.vc = make([]uint32, nc)
+
+	for e := range NM {
+		f.merge(b.obs, e, rows[spans[e].lo:spans[e].hi])
 	}
+	d.src, d.vf, d.vc = d.src[:f.ns], d.vf[:f.nf], d.vc[:f.nc]
+	d.off[NM] = f.ns
 	if b.timestamps != nil {
 		d.timestamps = make([]int, N)
-		for i, t := range b.timestamps {
-			d.timestamps[i] = t
-		}
+		copy(d.timestamps, b.timestamps)
 	}
+	b.last, b.built = d, len(b.obs)
 	return d
 }
 
-// sortRows orders the recorded rows entry-major: a counting sort by
-// source, then a stable one by entry, so each entry's rows run in
-// ascending source order and a source's repeated claims in recording
-// order. It returns the row indices, end[e] one past entry e's last row,
-// and how many rows fall on categorical properties.
-func (b *Builder) sortRows(M, K, NM int) (rows, end []int32, nc int) {
+// span is one entry's run of sorted rows, rows[lo:hi]; last is the
+// source of its last row plus one, or 0 before the first.
+type span struct{ lo, hi, last int32 }
+
+// sortRows orders the rows recorded from row from on entry-major: a
+// counting sort by source, then a stable one by entry, so each entry's
+// rows run in ascending source order. Of a source's repeated claims on
+// one entry only the last recorded is kept: it takes the earlier one's
+// place. Entry e's rows are rows[spans[e].lo:spans[e].hi].
+func (b *Builder) sortRows(from, M, K, NM int) (rows []int32, spans []span) {
+	obs := b.obs[from:]
 	next := make([]int32, K)
-	end = make([]int32, NM)
-	for i := range b.obs {
-		o := &b.obs[i]
+	spans = make([]span, NM)
+	for i := range obs {
+		o := &obs[i]
 		next[o.src]++
-		end[o.obj*M+o.prop]++
+		spans[o.obj*M+o.prop].hi++
 	}
 	var at int32
 	for k, n := range next {
@@ -282,25 +293,117 @@ func (b *Builder) sortRows(M, K, NM int) (rows, end []int32, nc int) {
 		at += n
 	}
 	at = 0
-	for e, n := range end {
-		end[e] = at
-		at += n
-		if b.props[e%M].Type == Categorical {
-			nc += int(n)
-		}
+	for e := range spans {
+		s := &spans[e]
+		s.lo, s.hi, at = at, at, at+s.hi
 	}
-	bySrc := make([]int32, len(b.obs))
-	for i := range b.obs {
-		k := b.obs[i].src
-		bySrc[next[k]] = int32(i)
+	bySrc := make([]int32, len(obs))
+	for i := range obs {
+		k := obs[i].src
+		bySrc[next[k]] = int32(from + i)
 		next[k]++
 	}
-	rows = make([]int32, len(b.obs))
+	rows = make([]int32, len(obs))
 	for _, i := range bySrc {
 		o := &b.obs[i]
-		e := o.obj*M + o.prop
-		rows[end[e]] = i
-		end[e]++ // ends as one past the entry's last row
+		s := &spans[o.obj*M+o.prop]
+		if k := int32(o.src) + 1; s.last != k {
+			s.last = k
+			s.hi++
+		}
+		rows[s.hi-1] = i // a later claim by the same source replaces an earlier one
 	}
-	return rows, end, nc
+	return rows, spans
+}
+
+// fold writes a Dataset's claim columns in entry order, from the
+// previous Dataset's columns and the rows recorded since. Object and
+// property indices are append-only, so entry (i, m) of the previous
+// Dataset, numbered i*pM+m over its pN objects and pM properties, is
+// entry i*M+m of the new one.
+type fold struct {
+	d, prev    *Dataset
+	M, pN, pM  int
+	ns, nf, nc int32 // claims, continuous and categorical values written
+}
+
+// prevEntry returns entry (i, m)'s index in the previous Dataset, or -1
+// when that Dataset predates object i or property m.
+func (f *fold) prevEntry(i, m int) int {
+	if i >= f.pN || m >= f.pM {
+		return -1
+	}
+	return i*f.pM + m
+}
+
+// merge writes entry e, whose new rows are rows, as sortRows leaves
+// them: its previous claims merged with them in ascending source order.
+// With no new rows it copies the previous claims; an entry the previous
+// Dataset lacks has none.
+func (f *fold) merge(obs []rawObs, e int, rows []int32) {
+	d, prev := f.d, f.prev
+	m := e % f.M
+	pe := f.prevEntry(e/f.M, m)
+	var osrc []uint32
+	if pe >= 0 {
+		osrc = prev.EntrySources(pe)
+	}
+	d.off[e] = f.ns
+	var n int
+	if d.props[m].Type == Categorical {
+		var old []uint32
+		if pe >= 0 {
+			old = prev.EntryCodes(pe)
+		}
+		d.voff[e] = f.nc
+		n = mergeClaims(obs, rows, osrc, old, d.src[f.ns:], d.vc[f.nc:], d.counts)
+		f.nc += int32(n)
+	} else {
+		var old []float64
+		if pe >= 0 {
+			old = prev.EntryFloats(pe)
+		}
+		d.voff[e] = f.nf
+		n = mergeClaims(obs, rows, osrc, old, d.src[f.ns:], d.vf[f.nf:], d.counts)
+		f.nf += int32(n)
+	}
+	f.ns += int32(n)
+	d.maxObs = max(d.maxObs, n)
+}
+
+// mergeClaims writes one entry's claims to src and vals: its previous
+// claims (osrc, ovals) merged in ascending source order with its new
+// rows, one per source and in ascending source order, each replacing
+// its source's previous claim. A new row that replaces none adds one to
+// its source's count. It returns the number of claims written.
+func mergeClaims[V float64 | uint32](obs []rawObs, rows []int32, osrc []uint32, ovals []V, src []uint32, vals []V, counts []int) int {
+	n, a := 0, 0
+	for _, r := range rows {
+		o := &obs[r]
+		k := uint32(o.src)
+		for ; a < len(osrc) && osrc[a] < k; a++ {
+			src[n], vals[n] = osrc[a], ovals[a]
+			n++
+		}
+		if a < len(osrc) && osrc[a] == k {
+			a++ // the new claim replaces the previous one
+		} else {
+			counts[k]++
+		}
+		src[n], vals[n] = k, valueOf[V](o.val)
+		n++
+	}
+	copy(src[n:], osrc[a:])
+	copy(vals[n:], ovals[a:])
+	return n + len(osrc) - a
+}
+
+// valueOf returns v's payload as a column of V stores it: F in a
+// continuous column, C in a categorical one.
+func valueOf[V float64 | uint32](v Value) V {
+	var col V
+	if _, ok := any(col).(float64); ok {
+		return V(v.F)
+	}
+	return V(v.C)
 }

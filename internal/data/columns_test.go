@@ -2,8 +2,10 @@ package data
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -17,35 +19,68 @@ import (
 
 // randomLog records a random claim log: both property types, repeated
 // (source, entry) claims in shuffled source order, and sources, objects
-// and properties that carry no claims.
+// and properties that carry no claims. It is one growLog round on an
+// empty Builder.
 func randomLog(seed int64) *Builder {
-	rng := rand.New(rand.NewSource(seed))
 	b := NewBuilder()
-	nProps, nObj, nSrc := 1+rng.Intn(4), 1+rng.Intn(10), 1+rng.Intn(6)
-	for m := 0; m < nProps; m++ {
+	growLog(rand.New(rand.NewSource(seed)), b)
+	return b
+}
+
+// growLog extends b's log by one random round. It interns new
+// properties of both types, categories, objects (some timestamped) and
+// sources, may re-stamp an existing object, then records claims on a
+// random subset of every name interned so far: earlier entries get
+// re-claimed by the same and by other sources, and some names stay
+// silent. The first round, on an empty Builder, interns one to four
+// properties, one to ten objects and one to six sources, and records
+// fewer than three claims per (source, entry); later rounds add fewer
+// names and at most one claim per (source, entry), so a log grown over
+// several rounds stays small.
+func growLog(rng *rand.Rand, b *Builder) {
+	addCats := func(p, n int) {
+		for base := b.Prop(p).NumCats(); n > 0; n-- {
+			b.CatValue(p, fmt.Sprintf("v%d", base+n))
+		}
+	}
+	first := b.NumProps() == 0
+	var newProps, newObjs, newSrcs, cats, rows int
+	if first {
+		newProps, newObjs, newSrcs, cats, rows = 1+rng.Intn(4), 1+rng.Intn(10), 1+rng.Intn(6), 5, 3
+	} else {
+		newProps, newObjs, newSrcs, cats, rows = rng.Intn(3), rng.Intn(6), rng.Intn(4), 3, 1
+		for m := 0; m < b.NumProps(); m++ {
+			if b.Prop(m).Type == Categorical {
+				addCats(m, rng.Intn(cats))
+			}
+		}
+	}
+	for ; newProps > 0; newProps-- {
+		m := b.NumProps()
 		if rng.Intn(2) == 0 {
 			b.MustProperty(fmt.Sprintf("c%d", m), Continuous)
 			continue
 		}
-		p := b.MustProperty(fmt.Sprintf("k%d", m), Categorical)
-		for v := rng.Intn(5); v > 0; v-- {
-			b.CatValue(p, fmt.Sprintf("v%d", v))
-		}
+		addCats(b.MustProperty(fmt.Sprintf("k%d", m), Categorical), rng.Intn(cats))
 	}
-	for i := 0; i < nObj; i++ {
-		b.Object(fmt.Sprintf("o%d", i))
+	for ; newObjs > 0; newObjs-- {
+		i := b.Object(fmt.Sprintf("o%d", b.NumObjects()))
 		if rng.Intn(3) == 0 {
 			b.SetTimestampIdx(i, rng.Intn(4))
 		}
 	}
-	for k := 0; k < nSrc; k++ {
-		b.Source(fmt.Sprintf("s%d", k))
+	for ; newSrcs > 0; newSrcs-- {
+		b.Source(fmt.Sprintf("s%d", b.NumSources()))
+	}
+	nProps, nObj, nSrc := b.NumProps(), b.NumObjects(), b.NumSources()
+	if !first && rng.Intn(2) == 0 {
+		b.SetTimestampIdx(rng.Intn(nObj), 4+rng.Intn(4))
 	}
 	// Claims go to a random subset of the sources, objects and
 	// properties, so some of each stay silent.
 	pick := func(n int) []int { return rng.Perm(n)[:1+rng.Intn(n)] }
 	srcs, objs, props := pick(nSrc), pick(nObj), pick(nProps)
-	for r := rng.Intn(3 * nSrc * nObj * nProps); r > 0; r-- {
+	for r := rng.Intn(rows * nSrc * nObj * nProps); r > 0; r-- {
 		k, i, m := srcs[rng.Intn(len(srcs))], objs[rng.Intn(len(objs))], props[rng.Intn(len(props))]
 		v := Float(math.Trunc(rng.NormFloat64()*1e4) / 1e2)
 		if p := b.Prop(m); p.Type == Categorical {
@@ -56,11 +91,53 @@ func randomLog(seed int64) *Builder {
 		}
 		b.ObserveIdx(k, i, m, v)
 	}
-	return b
 }
 
-// lastWins builds the expected columns of b's log from a map keyed by
-// (source, entry) that each later claim overwrites.
+// rebuild replays b's names, timestamps and rows into a fresh Builder
+// and builds that: the from-scratch Build of b's log.
+func rebuild(b *Builder) *Dataset {
+	fb := NewBuilder()
+	for m := 0; m < b.NumProps(); m++ {
+		p := b.Prop(m)
+		fb.MustProperty(p.Name, p.Type)
+		for c := 0; c < p.NumCats(); c++ {
+			fb.CatValue(m, p.CatName(c))
+		}
+	}
+	for i := 0; i < b.NumObjects(); i++ {
+		fb.Object(b.ObjectName(i))
+	}
+	for k := 0; k < b.NumSources(); k++ {
+		fb.Source(b.SourceName(k))
+	}
+	for i, ts := range b.timestamps {
+		fb.SetTimestampIdx(i, ts)
+	}
+	for r := 0; r < b.NumRows(); r++ {
+		fb.ObserveIdx(b.Row(r))
+	}
+	return fb.Build()
+}
+
+// cloneDataset deep-copies d, so a later read can check that d has not
+// changed.
+func cloneDataset(d *Dataset) *Dataset {
+	c := *d
+	c.objects, c.sources = slices.Clone(d.objects), slices.Clone(d.sources)
+	c.props = slices.Clone(d.props)
+	for m := range c.props {
+		c.props[m].cats, c.props[m].catByID = slices.Clone(d.props[m].cats), maps.Clone(d.props[m].catByID)
+	}
+	c.off, c.src, c.voff = slices.Clone(d.off), slices.Clone(d.src), slices.Clone(d.voff)
+	c.vf, c.vc = slices.Clone(d.vf), slices.Clone(d.vc)
+	c.counts, c.timestamps = slices.Clone(d.counts), slices.Clone(d.timestamps)
+	return &c
+}
+
+// lastWins builds the expected Dataset of b's log: the claim columns
+// from a map keyed by (source, entry) that each later claim overwrites,
+// and the names, dictionaries and per-object timestamps read straight
+// off the Builder.
 func lastWins(b *Builder) *Dataset {
 	N, M, K := b.NumObjects(), b.NumProps(), b.NumSources()
 	type key struct{ k, e int }
@@ -94,8 +171,20 @@ func lastWins(b *Builder) *Dataset {
 	}
 	want.off[N*M] = int32(len(want.src))
 	for m := 0; m < M; m++ {
-		if b.Prop(m).Type == Categorical {
-			want.maxCats = max(want.maxCats, b.Prop(m).NumCats())
+		p := *b.Prop(m)
+		p.cats, p.catByID = slices.Clone(p.cats), maps.Clone(p.catByID)
+		want.props = append(want.props, p)
+		if p.Type == Categorical {
+			want.maxCats = max(want.maxCats, p.NumCats())
+		}
+	}
+	want.objects, want.sources = slices.Clone(b.objects), slices.Clone(b.sources)
+	if b.timestamps != nil {
+		want.timestamps = make([]int, N)
+		for i := range want.timestamps {
+			if i < len(b.timestamps) {
+				want.timestamps[i] = b.timestamps[i]
+			}
 		}
 	}
 	return want
@@ -125,42 +214,52 @@ func diffColumns(got, want *Dataset) string {
 	return ""
 }
 
-// TestBuildMatchesLastWinsModelQuick: Build's columns equal the model's,
-// the accessors read them back, and every built Dataset validates.
+// diffDataset is diffColumns plus the names, dictionaries and
+// timestamps.
+func diffDataset(got, want *Dataset) string {
+	if diff := diffColumns(got, want); diff != "" {
+		return diff
+	}
+	switch {
+	case !slices.Equal(got.objects, want.objects) || !slices.Equal(got.sources, want.sources):
+		return fmt.Sprintf("objects %v sources %v, want %v %v", got.objects, got.sources, want.objects, want.sources)
+	case (got.timestamps == nil) != (want.timestamps == nil) || !slices.Equal(got.timestamps, want.timestamps):
+		return fmt.Sprintf("timestamps %v, want %v", got.timestamps, want.timestamps)
+	case len(got.props) != len(want.props):
+		return fmt.Sprintf("%d properties, want %d", len(got.props), len(want.props))
+	}
+	for m := range got.props {
+		g, w := &got.props[m], &want.props[m]
+		if g.Name != w.Name || g.Type != w.Type || !slices.Equal(g.cats, w.cats) || !maps.Equal(g.catByID, w.catByID) {
+			return fmt.Sprintf("property %d %s/%v %v, want %s/%v %v", m, g.Name, g.Type, g.cats, w.Name, w.Type, w.cats)
+		}
+	}
+	return ""
+}
+
+// TestBuildMatchesLastWinsModelQuick: a log grows over random rounds
+// with a Build after each, so every Build but the first folds new rows,
+// and perhaps new names, into the previous one. Each Dataset equals the
+// last-wins model of the rows so far and a fresh Builder's Build of
+// them, names, dictionaries and timestamps included, the accessors read
+// it back, and it validates. No later Build changes an earlier Dataset.
 func TestBuildMatchesLastWinsModelQuick(t *testing.T) {
 	f := func(seed int64) bool {
-		b := randomLog(seed)
-		d := b.Build()
-		want := lastWins(b)
-		if diff := diffColumns(d, want); diff != "" {
-			t.Logf("seed %d: %s", seed, diff)
-			return false
-		}
-		if err := d.Validate(); err != nil {
-			t.Logf("seed %d: %v", seed, err)
-			return false
-		}
-		if d.NumObservations() != len(want.src) {
-			return false
-		}
-		for e := 0; e < d.NumEntries(); e++ {
-			i, m := d.EntryObject(e), d.EntryProp(e)
-			var seen []int
-			d.ForEntry(e, func(k int, v Value) {
-				seen = append(seen, k)
-				if !d.Has(k, i, m) || d.Get(k, i, m) != v {
-					t.Logf("seed %d: entry %d source %d: Has/Get disagree with ForEntry's %+v", seed, e, k, v)
-					seen = nil
-				}
-			})
-			if len(seen) != d.EntryObservers(e) {
+		rng := rand.New(rand.NewSource(seed))
+		b := NewBuilder()
+		var built, kept []*Dataset
+		for cut := 1 + rng.Intn(4); cut > 0; cut-- {
+			growLog(rng, b)
+			d := b.Build()
+			if !checkBuild(t, seed, b, d) {
 				return false
 			}
-			for k := 0; k < d.NumSources(); k++ {
-				if !slices.Contains(seen, k) && (d.Has(k, i, m) || d.Get(k, i, m) != (Value{})) {
-					t.Logf("seed %d: entry %d source %d: unclaimed, yet Has/Get report a value", seed, e, k)
-					return false
-				}
+			built, kept = append(built, d), append(kept, cloneDataset(d))
+		}
+		for x, d := range built {
+			if diff := diffDataset(d, kept[x]); diff != "" {
+				t.Logf("seed %d: Dataset %d changed by a later Build: %s", seed, x, diff)
+				return false
 			}
 		}
 		return true
@@ -168,6 +267,49 @@ func TestBuildMatchesLastWinsModelQuick(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
+}
+
+// checkBuild reports whether d, just built from b, equals the last-wins
+// model of b's rows and a fresh Builder's Build of b's log, validates,
+// and reads back consistently through Has, Get and ForEntry.
+func checkBuild(t *testing.T, seed int64, b *Builder, d *Dataset) bool {
+	want := lastWins(b)
+	if diff := diffDataset(d, want); diff != "" {
+		t.Logf("seed %d, %d rows: %s", seed, b.NumRows(), diff)
+		return false
+	}
+	if diff := diffDataset(d, rebuild(b)); diff != "" {
+		t.Logf("seed %d, %d rows: against a fresh Build: %s", seed, b.NumRows(), diff)
+		return false
+	}
+	if err := d.Validate(); err != nil {
+		t.Logf("seed %d: %v", seed, err)
+		return false
+	}
+	if d.NumObservations() != len(want.src) {
+		return false
+	}
+	for e := 0; e < d.NumEntries(); e++ {
+		i, m := d.EntryObject(e), d.EntryProp(e)
+		var seen []int
+		d.ForEntry(e, func(k int, v Value) {
+			seen = append(seen, k)
+			if !d.Has(k, i, m) || d.Get(k, i, m) != v {
+				t.Logf("seed %d: entry %d source %d: Has/Get disagree with ForEntry's %+v", seed, e, k, v)
+				seen = nil
+			}
+		})
+		if len(seen) != d.EntryObservers(e) {
+			return false
+		}
+		for k := 0; k < d.NumSources(); k++ {
+			if !slices.Contains(seen, k) && (d.Has(k, i, m) || d.Get(k, i, m) != (Value{})) {
+				t.Logf("seed %d: entry %d source %d: unclaimed, yet Has/Get report a value", seed, e, k)
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // TestBuildColumnsMatchForEntry: on a dense mixed log with re-claimed
@@ -301,20 +443,24 @@ func TestBuildEmptyEntries(t *testing.T) {
 	}
 }
 
-// TestBuildDeterministicRebuildQuick: building the same log twice gives
-// identical columns, counts, extents and category dictionaries.
+// TestBuildDeterministicRebuildQuick: building the same log twice from
+// scratch, in its Builder and in a fresh one, gives identical columns,
+// counts, extents and category dictionaries, and so does a further
+// Build of the first Builder, which has no new rows to fold.
 func TestBuildDeterministicRebuildQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		b := randomLog(seed)
-		x, y := b.Build(), b.Build()
-		if diff := diffColumns(y, x); diff != "" {
-			t.Logf("seed %d: rebuild: %s", seed, diff)
-			return false
-		}
-		for m := 0; m < x.NumProps(); m++ {
-			if px, py := x.Prop(m), y.Prop(m); !slices.Equal(px.cats, py.cats) {
-				t.Logf("seed %d: property %d categories %v, then %v", seed, m, px.cats, py.cats)
+		x := b.Build()
+		for _, y := range []*Dataset{rebuild(b), b.Build()} {
+			if diff := diffColumns(y, x); diff != "" {
+				t.Logf("seed %d: rebuild: %s", seed, diff)
 				return false
+			}
+			for m := 0; m < x.NumProps(); m++ {
+				if px, py := x.Prop(m), y.Prop(m); !slices.Equal(px.cats, py.cats) {
+					t.Logf("seed %d: property %d categories %v, then %v", seed, m, px.cats, py.cats)
+					return false
+				}
 			}
 		}
 		return true
@@ -430,14 +576,20 @@ func TestSliceMatchesBuildOfKeptRowsQuick(t *testing.T) {
 // TestValidateRejectsCorruptColumns corrupts one part of a built
 // Dataset's columns at a time; Validate must name each.
 func TestValidateRejectsCorruptColumns(t *testing.T) {
-	b := NewBuilder()
-	for _, o := range []struct{ src, obj string }{{"s0", "o0"}, {"s1", "o0"}, {"s2", "o1"}} {
-		if err := b.ObserveFloat(o.src, o.obj, "x", float64(len(o.src+o.obj))); err != nil {
-			t.Fatal(err)
+	// Each case corrupts a Dataset from a fresh Builder: a Builder folds
+	// its next Build into the Dataset it last built, so it must never
+	// see one corrupted.
+	build := func() *Dataset {
+		b := NewBuilder()
+		for _, o := range []struct{ src, obj string }{{"s0", "o0"}, {"s1", "o0"}, {"s2", "o1"}} {
+			if err := b.ObserveFloat(o.src, o.obj, "x", float64(len(o.src+o.obj))); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.ObserveCat(o.src, o.obj, "c", o.obj); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err := b.ObserveCat(o.src, o.obj, "c", o.obj); err != nil {
-			t.Fatal(err)
-		}
+		return b.Build()
 	}
 	// Entry 0 (o0, x) holds sources 0 and 1; entry 1 (o0, c) is the
 	// first categorical entry.
@@ -458,7 +610,7 @@ func TestValidateRejectsCorruptColumns(t *testing.T) {
 		{"source count", "count", func(d *Dataset) { d.counts[0]++ }},
 		{"extents", "extents", func(d *Dataset) { d.maxObs++ }},
 	} {
-		d := b.Build()
+		d := build()
 		if err := d.Validate(); err != nil {
 			t.Fatalf("built dataset: %v", err)
 		}
@@ -466,5 +618,66 @@ func TestValidateRejectsCorruptColumns(t *testing.T) {
 		if err := d.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: Validate = %v, want an error mentioning %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestIncrementalBuildAllocs pins Build's incremental cost: after a
+// Build over a log of over 100k rows, a Build that adds a few rows
+// allocates the new columns plus a per-entry, per-object and per-source
+// bound, and no scratch per logged row.
+func TestIncrementalBuildAllocs(t *testing.T) {
+	const N, M, K = 1000, 4, 40
+	rng := rand.New(rand.NewSource(1))
+	b := NewBuilder()
+	for m := 0; m < M; m++ {
+		if m%2 == 0 {
+			b.MustProperty(fmt.Sprintf("c%d", m), Continuous)
+			continue
+		}
+		p := b.MustProperty(fmt.Sprintf("k%d", m), Categorical)
+		for c := 0; c < 8; c++ {
+			b.CatValue(p, fmt.Sprintf("v%d", c))
+		}
+	}
+	for k := 0; k < K; k++ {
+		b.Source(fmt.Sprintf("s%d", k))
+	}
+	for i := 0; i < N; i++ {
+		obj := b.Object(fmt.Sprintf("o%d", i))
+		b.SetTimestampIdx(obj, i/50)
+		for m := 0; m < M; m++ {
+			for k := 0; k < K; k++ {
+				if rng.Float64() < 0.7 {
+					v := Float(rng.NormFloat64())
+					if m%2 == 1 {
+						v = Cat(rng.Intn(8))
+					}
+					b.ObserveIdx(k, obj, m, v)
+				}
+			}
+		}
+	}
+	if b.NumRows() < 100_000 {
+		t.Fatalf("log has %d rows, want at least 100k", b.NumRows())
+	}
+	b.Build()
+	// A few rows: a re-claim, a claim by a new source, one on a new
+	// object with a new category.
+	b.ObserveIdx(3, 7, 0, Float(1))
+	b.ObserveIdx(b.Source("late"), 7, 1, Cat(2))
+	if err := b.ObserveCat("s0", "fresh", "k1", "new"); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	d := b.Build()
+	runtime.ReadMemStats(&after)
+	columns := 4*cap(d.src) + 8*cap(d.vf) + 4*cap(d.vc)
+	bound := columns + 24*d.NumEntries() + 16*d.NumObjects() + 16*d.NumSources() + 64<<10
+	if got := int(after.TotalAlloc - before.TotalAlloc); got > bound {
+		t.Fatalf("incremental Build over %d rows allocated %d bytes, want at most %d (columns %d)", b.NumRows(), got, bound, columns)
+	}
+	if err := d.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -437,6 +437,9 @@ func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
+		if resp.Converged != nil { // a CRH computation
+			s.stats.observeSolver(resp.Iterations, *resp.Converged)
+		}
 		// The leader encodes the body exactly once, here, so the bytes are
 		// shared by the cache, every coalesced follower, and the leader's
 		// own write below. This is the only full encode per computation.

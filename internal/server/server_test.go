@@ -622,6 +622,51 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestSolverConvergenceMetrics: each CRH computation records its
+// iteration count, and one that stops at MaxIters counts as
+// unconverged. Cache hits and baseline methods record nothing.
+func TestSolverConvergenceMetrics(t *testing.T) {
+	s, ts := testServer(t)
+	mustCreate(t, ts.URL, "d", testTSV)
+	scrape := func() string {
+		var exp strings.Builder
+		if err := s.metrics.WritePrometheus(&exp); err != nil {
+			t.Fatal(err)
+		}
+		return exp.String()
+	}
+	resolve := func(body string) ResolveResponse {
+		var out ResolveResponse
+		if code := doJSON(t, "POST", ts.URL+"/v1/datasets/d/resolve", strings.NewReader(body), &out); code != 200 {
+			t.Fatalf("resolve %s: status %d", body, code)
+		}
+		return out
+	}
+	expect := func(when string, want ...string) {
+		t.Helper()
+		exp := scrape()
+		for _, w := range want {
+			if !strings.Contains(exp, w+"\n") {
+				t.Errorf("%s: metrics missing %q", when, w)
+			}
+		}
+		if t.Failed() {
+			t.Fatalf("exposition:\n%s", exp)
+		}
+	}
+	for i := 0; i < 2; i++ { // the second is a cache hit
+		if out := resolve(`{"options":{"max_iters":1}}`); out.Converged == nil || *out.Converged || out.Iterations != 1 {
+			t.Fatalf("max_iters 1: converged %v after %d iterations, want false after 1", out.Converged, out.Iterations)
+		}
+	}
+	expect("one capped computation", "crhd_solver_iterations_count 1", `crhd_solver_iterations_bucket{le="1"} 1`, "crhd_solver_unconverged_total 1")
+	if out := resolve(`{}`); out.Converged == nil || !*out.Converged {
+		t.Fatalf("default resolve did not converge: %+v", out.Converged)
+	}
+	resolve(`{"method":"Voting"}`)
+	expect("then a default and a baseline resolve", "crhd_solver_iterations_count 2", "crhd_solver_unconverged_total 1")
+}
+
 // TestResolveStageInstrumentation drives resolves through the HTTP
 // handler and checks the per-stage timeline lands in both the stats
 // document and the exposition: a miss exercises decode/cache/queue/

@@ -15,6 +15,12 @@ import (
 // the JSON stats shape cannot drift if the obs default changes.
 var latencyBounds = []float64{0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5}
 
+// iterationBounds are the upper bounds of the solver-iterations
+// histogram's buckets. 20 is the default MaxIters, so a computation that
+// ran out of iterations under the defaults lands in the (12, 20] bucket
+// and is also counted by crhd_solver_unconverged_total.
+var iterationBounds = []float64{1, 2, 3, 5, 8, 12, 20, 30, 50, 100, 200, 500}
+
 // Stages of the resolve pipeline, in request order. Every successful
 // resolve carries an obs.Span whose per-stage durations feed the
 // crhd_stage_seconds{stage=...} histograms and the sampled stage log.
@@ -89,6 +95,12 @@ type Stats struct {
 	coalesceLeaders   *obs.Counter
 	coalesceFollowers *obs.Counter
 
+	// solverIterations and solverUnconverged record each CRH
+	// computation's iteration count and whether it stopped at MaxIters
+	// without meeting the tolerance.
+	solverIterations  *obs.Histogram
+	solverUnconverged *obs.Counter
+
 	resolveLatency   *obs.Histogram
 	stageHists       [numStages]*obs.Histogram
 	ingestStageHists [numIngestStages]*obs.Histogram
@@ -117,6 +129,8 @@ func NewStats(reg *obs.Registry) *Stats {
 		coalesceLeaders:   reg.NewCounter(`crhd_coalesce_total{role="leader"}`, "resolve computations, by coalescing role"),
 		coalesceFollowers: reg.NewCounter(`crhd_coalesce_total{role="follower"}`, "resolve computations, by coalescing role"),
 		resolveLatency:    reg.NewHistogram("crhd_resolve_latency_seconds", "end-to-end resolve latency", latencyBounds),
+		solverIterations:  reg.NewHistogram("crhd_solver_iterations", "iterations per CRH computation", iterationBounds),
+		solverUnconverged: reg.NewCounter("crhd_solver_unconverged_total", "CRH computations that stopped at MaxIters without converging"),
 	}
 	for st := obs.Stage(0); st < numStages; st++ {
 		s.stageHists[st] = reg.NewHistogram(
@@ -171,6 +185,15 @@ func (s *Stats) observeSpan(sp *obs.Span, dataset string, cached, coalesced bool
 			rec.Stages[st] = sp.Stage(st)
 		}
 		s.stageLog(rec)
+	}
+}
+
+// observeSolver records one CRH computation's iteration count and
+// convergence.
+func (s *Stats) observeSolver(iterations int, converged bool) {
+	s.solverIterations.Observe(float64(iterations))
+	if !converged {
+		s.solverUnconverged.Add(1)
 	}
 }
 

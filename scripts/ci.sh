@@ -29,8 +29,11 @@
 #                      memory pins (a finished multi-worker run keeps no
 #                      Prepared reachable, nor does a pool offer no
 #                      worker took; a built Dataset owns its
-#                      category dictionaries), on their own so a
-#                      regression in either hot path is named in the logs
+#                      category dictionaries), the incremental Build's
+#                      allocations (a Build after a few new rows sorts
+#                      only those rows: no scratch per logged row), on
+#                      their own so a regression in any of these paths
+#                      is named in the logs
 #                      (the golden byte-equality suite already ran inside
 #                      make check)
 #   9. perfbench       vet and unit tests of the benchmark program, its
@@ -73,11 +76,11 @@ make fuzz FUZZTIME=5s
 echo "==> loadcheck (serve-path smoke)"
 make loadcheck
 
-echo "==> allocation and memory pins (encode, solver iterations and passes, weighted median, run retention, dictionary copies)"
+echo "==> allocation and memory pins (encode, solver iterations and passes, weighted median, run retention, dictionary copies, incremental Build)"
 go test -run 'TestEncodeAllocs' -count=1 ./internal/server/
 go test -run 'TestSolverIterationAllocFree|TestSolverRunReusesPrepared|TestParallelRunReleasesPrepared|TestPoolReleasesUntakenOffers|TestRunScoringPasses' -count=1 ./internal/core/
 go test -run 'TestWeightedMedianBufAllocFree' -count=1 ./internal/stats/
-go test -run 'TestBuildCopiesCategoryDictionaries' -count=1 ./internal/data/
+go test -run 'TestBuildCopiesCategoryDictionaries|TestIncrementalBuildAllocs' -count=1 ./internal/data/
 
 echo "==> perfbench (vet + unit tests)"
 go -C perfbench vet ./... && go -C perfbench test ./...
