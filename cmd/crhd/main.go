@@ -80,7 +80,7 @@ func run(ctx context.Context, args []string, stderr io.Writer, ready chan<- stri
 		dataDir   = fs.String("data-dir", "", "durable ingest directory (WAL + snapshots per dataset); empty = memory-only (docs/DURABILITY.md)")
 		fsync     = fs.String("fsync", "batch", "WAL fsync policy: batch (every ingest), interval, or off")
 		fsyncIvl  = fs.Duration("fsync-interval", 100*time.Millisecond, "minimum spacing between fsyncs under -fsync=interval")
-		snapEvery = fs.Int("snapshot-every", 128, "write a snapshot (and compact the WAL) every N ingested batches")
+		snapEvery = fs.Int("snapshot-every", 128, "write a snapshot (and compact the WAL) every N ingested batches (N ≥ 1)")
 		pprofOn   = fs.Bool("pprof", false, "expose net/http/pprof profiling handlers under /debug/pprof/")
 		slow      = fs.Duration("slow", 500*time.Millisecond, "log requests at or above this latency at WARN level (0 disables)")
 		stageLog  = fs.Int("stage-log", 0, "log every Nth successful resolve's per-stage latency breakdown (0 disables)")
@@ -95,6 +95,10 @@ func run(ctx context.Context, args []string, stderr io.Writer, ready chan<- stri
 	}
 	if *decay < 0 || *decay > 1 {
 		fmt.Fprintf(stderr, "crhd: -decay must be in [0,1], got %g\n", *decay)
+		return 2
+	}
+	if *snapEvery < 1 {
+		fmt.Fprintf(stderr, "crhd: -snapshot-every must be at least 1, got %d\n", *snapEvery)
 		return 2
 	}
 

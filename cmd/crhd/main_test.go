@@ -304,6 +304,15 @@ func TestBadFlags(t *testing.T) {
 	if code := run(ctx, []string{"-decay", "1.5"}, &stderr, nil); code != 2 {
 		t.Fatalf("bad decay: exit %d", code)
 	}
+	// Checkpointing cannot be turned off. The context is already
+	// cancelled, so a crhd that wrongly boots shuts down at once.
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	for _, n := range []string{"0", "-1"} {
+		if code := run(cancelled, []string{"-addr", "127.0.0.1:0", "-snapshot-every", n}, &stderr, nil); code != 2 {
+			t.Fatalf("-snapshot-every %s: exit %d", n, code)
+		}
+	}
 	if code := run(ctx, []string{"no-equals-sign"}, &stderr, nil); code != 2 {
 		t.Fatalf("bad preload arg: exit %d", code)
 	}

@@ -68,21 +68,31 @@ func worstSourceData() *data.Dataset {
 }
 
 // TestSolverIterationAllocFree pins zero steady-state allocations per
-// solver iteration for the default configuration (absolute/0-1 losses,
-// exp-max weights): the kernel interfaces and the solver-owned scratch
-// must keep the whole weight/truth/objective cycle off the heap, on
-// mixed data and on entries only a zero-weight source claims.
+// solver iteration: losses and schemes work in solver-owned scratch, so
+// the whole weight/truth/objective cycle stays off the heap — for the
+// default configuration (absolute/0-1 losses, exp-max weights) on mixed
+// data and on entries only a zero-weight source claims, for every other
+// built-in scheme, and for the Huber and Bregman losses. EditDistance
+// and the loss ensemble are the exceptions: both still allocate per
+// entry.
 func TestSolverIterationAllocFree(t *testing.T) {
-	for _, in := range []struct {
+	mixed := Prepare(synthesize(equivCase{"mixed", 2, 2, 10, 200, 0.25}, 42))
+	for _, c := range []struct {
 		name string
-		d    *data.Dataset
+		p    *Prepared
+		cfg  Config
 	}{
-		{"mixed", synthesize(equivCase{"mixed", 2, 2, 10, 200, 0.25}, 42)},
-		{"worst-source", worstSourceData()},
+		{"default/mixed", mixed, Config{}},
+		{"default/worst-source", Prepare(worstSourceData()), Config{}},
+		{"exp-sum", mixed, Config{Scheme: reg.ExpSum{}}},
+		{"catd", mixed, Config{Scheme: reg.CATD{}}},
+		{"top-j", mixed, Config{Scheme: reg.TopJ{J: 2}}},
+		{"best-source", mixed, Config{Scheme: reg.BestSource{}}},
+		{"huber", mixed, Config{ContinuousLoss: loss.Huber{}}},
+		{"bregman-squared", mixed, Config{ContinuousLoss: loss.SquaredBregman()}},
 	} {
-		p := Prepare(in.d)
-		if delta := iterAllocDelta(t, p, Config{}, 4, 24); delta != 0 {
-			t.Errorf("%s: default config allocates %.2f objects per iteration, want 0", in.name, delta)
+		if delta := iterAllocDelta(t, c.p, c.cfg, 4, 24); delta != 0 {
+			t.Errorf("%s: allocates %.2f objects per iteration, want 0", c.name, delta)
 		}
 	}
 }

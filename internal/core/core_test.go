@@ -166,16 +166,14 @@ func TestCRHBeatsUnweightedBaselines(t *testing.T) {
 	}
 }
 
-// uniformScheme always returns unit weights — the Voting/Averaging regime.
+// uniformScheme always writes unit weights — the Voting/Averaging regime.
 type uniformScheme struct{}
 
 func (uniformScheme) Name() string { return "uniform" }
-func (uniformScheme) Weights(losses []float64) []float64 {
-	ws := make([]float64, len(losses))
-	for i := range ws {
-		ws[i] = 1
+func (uniformScheme) Weights(dst, _ []float64, _ []int) {
+	for i := range dst {
+		dst[i] = 1
 	}
-	return ws
 }
 
 // TestObjectiveNonIncreasing checks the block-coordinate-descent guarantee

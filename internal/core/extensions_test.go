@@ -251,24 +251,27 @@ func TestSquaredProbPinnedTruths(t *testing.T) {
 	}
 }
 
-// TestSquaredProbSeededTruthsKernelParity: truths seeded by InitTruths
-// have no distribution until the first truth pass, on the kernel path
-// (whose distributions live in the solver's arena) as on the fallback
-// path (whose Truth returns them), so the two must agree bit for bit.
-func TestSquaredProbSeededTruthsKernelParity(t *testing.T) {
+// TestSquaredProbSeededTruthsScoreZeroOne: truths seeded by InitTruths
+// have no distribution until the first truth pass (their arena slots
+// are not yet published), so SquaredProb scores them as the 0-1 loss
+// does. Iteration 1's weights come from that scoring pass alone and must
+// equal ZeroOne's bit for bit; a zero-filled slot would charge every
+// claim 1.
+func TestSquaredProbSeededTruthsScoreZeroOne(t *testing.T) {
 	d, gt := splitReliability(t, 9, 60)
-	cfg := Config{InitTruths: gt, CategoricalLoss: loss.SquaredProb{}, Workers: 1}
-	kernel, err := Run(d, cfg)
-	if err != nil {
-		t.Fatal(err)
+	firstWeights := func(l loss.Categorical) []float64 {
+		res, err := Run(d, Config{InitTruths: gt, CategoricalLoss: l, MaxIters: 1, Tol: math.Inf(-1), Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Weights
 	}
-	// Embedding the interface hides SquaredProb's kernel methods.
-	cfg.CategoricalLoss = struct{ loss.Categorical }{loss.SquaredProb{}}
-	fallback, err := Run(d, cfg)
-	if err != nil {
-		t.Fatal(err)
+	prob, hard := firstWeights(loss.SquaredProb{}), firstWeights(loss.ZeroOne{})
+	for k := range hard {
+		if math.Float64bits(prob[k]) != math.Float64bits(hard[k]) {
+			t.Fatalf("source %d: seeded squared-prob weight %v, zero-one %v", k, prob[k], hard[k])
+		}
 	}
-	requireBitIdentical(t, d, kernel, fallback, "seeded squared-prob kernel vs fallback")
 }
 
 // TestEnsembleLoss checks the loss-ensemble extension end to end.
@@ -304,7 +307,8 @@ func TestEnsembleMemberWeights(t *testing.T) {
 	e := loss.EnsembleContinuous{Members: []loss.Continuous{abs, sq}, MemberWeights: []float64{1, 0}}
 	vals := []float64{1, 2, 100}
 	ws := []float64{1, 1, 1}
-	if got, want := e.Truth(vals, ws), abs.Truth(vals, ws); got != want {
+	vbuf, wbuf := make([]float64, len(vals)), make([]float64, len(vals))
+	if got, want := e.Truth(vals, ws, vbuf, wbuf), abs.Truth(vals, ws, vbuf, wbuf); got != want {
 		t.Fatalf("degenerate ensemble truth %v, want %v", got, want)
 	}
 	if got, want := e.Deviation(3, 7, 2), abs.Deviation(3, 7, 2); math.Abs(got-want) > 1e-12 {

@@ -195,12 +195,11 @@ type scaledScheme struct {
 
 func (s scaledScheme) Name() string { return fmt.Sprintf("scaledx%g+%s", s.c, s.inner.Name()) }
 
-func (s scaledScheme) Weights(losses []float64) []float64 {
-	w := s.inner.Weights(losses)
-	for i := range w {
-		w[i] *= s.c
+func (s scaledScheme) Weights(dst, losses []float64, counts []int) {
+	s.inner.Weights(dst, losses, counts)
+	for i := range dst {
+		dst[i] *= s.c
 	}
-	return w
 }
 
 // TestMetamorphicWeightScale: multiplying every source weight by a

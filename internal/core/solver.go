@@ -8,14 +8,14 @@ import (
 
 	"github.com/crhkit/crh/internal/data"
 	"github.com/crhkit/crh/internal/loss"
-	"github.com/crhkit/crh/internal/reg"
 )
 
 // solver carries the mutable state of one run over a Prepared.
-// Every buffer the iteration loop touches is allocated here, once: with
-// the default losses and scheme (which implement the kernel interfaces)
-// steady-state iterations perform zero allocations — a contract pinned
-// by TestSolverIterationAllocFree.
+// Every buffer the iteration loop touches is allocated here, once, and
+// losses and schemes work in caller scratch: steady-state iterations
+// perform zero allocations with every built-in loss and scheme but
+// EditDistance and the loss ensemble — a contract pinned by
+// TestSolverIterationAllocFree.
 type solver struct {
 	prep *Prepared
 	d    *data.Dataset
@@ -34,26 +34,18 @@ type solver struct {
 
 	truths *data.Table
 	// weights[g][k] is source k's weight for property group g; the
-	// default configuration has a single group. With an in-place scheme
-	// the buffers are reused across iterations.
+	// default configuration has a single group. The scheme rewrites the
+	// buffers in place each iteration.
 	weights [][]float64
 	// groupOf[m] is property m's group index.
 	groupOf []int
 
-	// Kernel fast paths, detected once per run. Nil fields fall back to
-	// the allocating interface methods (bit-identically).
-	contKernel  loss.ContinuousKernel
-	catKernel   loss.CategoricalKernel
-	inPlace     reg.InPlaceScheme
-	countScheme reg.CountScheme
-
 	// dists[e] is the distribution behind entry e's current truth for
-	// probabilistic categorical losses, nil when the truth has none:
-	// hard losses, continuous entries, pinned truths, and truths no
-	// Step II has computed yet (seeded by InitTruths). With a kernel the
-	// views index one contiguous arena, entry e's slot starting at
-	// (e/M)·distRow + distOff[m]; the fallback path stores whatever
-	// slice Truth returns.
+	// categorical losses whose NeedsDist reports true, nil when the
+	// truth has none: hard losses, continuous entries, pinned truths,
+	// and truths no Step II has computed yet (seeded by InitTruths).
+	// The views index one contiguous arena, entry e's slot starting at
+	// (e/M)·distRow + distOff[m].
 	needDist  bool
 	dists     [][]float64
 	distArena []float64
@@ -82,12 +74,11 @@ type solver struct {
 }
 
 // scratch holds one worker's reusable per-entry buffers: gathered
-// weights, fallback value copies, median quickselect space, and the
-// categorical vote tally. All are sized from the dataset's extents
-// (MaxObservers, MaxCats), so per-entry slicing never reallocates.
+// weights, the continuous losses' working space, and the categorical
+// vote tally. All are sized from the dataset's extents (MaxObservers,
+// MaxCats), so per-entry slicing never reallocates.
 type scratch struct {
-	ws, vals, vbuf, wbuf, votes []float64
-	cats                        []int
+	ws, vbuf, wbuf, votes []float64
 }
 
 // scratchPool recycles parallel workers' scratch across regions and
@@ -101,11 +92,9 @@ func (s *solver) newScratch() *scratch {
 	mo, mc := s.d.MaxObservers(), s.d.MaxCats()
 	return &scratch{
 		ws:    make([]float64, mo),
-		vals:  make([]float64, mo),
 		vbuf:  make([]float64, mo),
 		wbuf:  make([]float64, mo),
 		votes: make([]float64, mc),
-		cats:  make([]int, mo),
 	}
 }
 
@@ -136,13 +125,9 @@ func newSolver(p *Prepared, cfg Config) *solver {
 	if s.workers == 0 {
 		s.workers = runtime.GOMAXPROCS(0)
 	}
-	s.contKernel, _ = cfg.ContinuousLoss.(loss.ContinuousKernel)
-	s.catKernel, _ = cfg.CategoricalLoss.(loss.CategoricalKernel)
-	s.inPlace, _ = cfg.Scheme.(reg.InPlaceScheme)
-	s.countScheme, _ = cfg.Scheme.(reg.CountScheme)
-	if s.catKernel != nil && s.catKernel.NeedsDist() {
+	if cfg.CategoricalLoss.NeedsDist() {
 		// One contiguous arena holds every categorical entry's
-		// distribution, in entry order; the kernel overwrites its slot
+		// distribution, in entry order; the loss overwrites its slot
 		// in place each iteration instead of allocating a fresh slice
 		// per entry.
 		s.needDist = true
@@ -392,10 +377,11 @@ func (s *solver) sweepShard(sc *scratch, sh, lo, hi int, work pass, perShard []i
 // resolveEntry performs the Step II argmin for one unpinned entry: read
 // its claims straight from the dataset's columns, gather the observers'
 // weights, and let the configured loss pick the minimizing estimate
-// (Eq 7/9). ok is false when nobody observed the entry. This is the
-// truth-update inner loop — it runs once per entry per iteration, and
-// //crh:hotpath holds it and everything it calls to zero steady-state
-// allocations on the kernel paths.
+// (Eq 7/9) in the worker's scratch. The columns are shared state; the
+// loss contract makes them read-only, so they are passed uncopied. ok
+// is false when nobody observed the entry. This is the truth-update
+// inner loop — it runs once per entry per iteration, and //crh:hotpath
+// holds it and everything it calls to zero steady-state allocations.
 //
 //crh:hotpath
 func (s *solver) resolveEntry(sc *scratch, e int) (data.Value, bool) {
@@ -408,37 +394,21 @@ func (s *solver) resolveEntry(sc *scratch, e int) (data.Value, bool) {
 			return data.Value{}, false
 		}
 		ws := s.gatherWeights(sc, e, m)
-		if s.catKernel != nil {
-			var dist []float64
-			if s.needDist {
-				lo := e/c.NumProps()*s.distRow + s.distOff[m]
-				hi := lo + p.NumCats()
-				dist = s.distArena[lo:hi:hi]
-				s.dists[e] = dist
-			}
-			return data.Cat(s.catKernel.TruthCodes(codes, ws, sc.votes, dist, p)), true
+		var dist []float64
+		if s.needDist {
+			lo := e/c.NumProps()*s.distRow + s.distOff[m]
+			hi := lo + p.NumCats()
+			dist = s.distArena[lo:hi:hi]
+			s.dists[e] = dist
 		}
-		cats := sc.cats[:len(codes)]
-		for j, code := range codes {
-			cats[j] = int(code)
-		}
-		t, dist := s.cfg.CategoricalLoss.Truth(cats, ws, p)
-		s.dists[e] = dist
-		return data.Cat(t), true
+		return data.Cat(s.cfg.CategoricalLoss.Truth(codes, ws, sc.votes, dist, p)), true
 	}
 	vals := c.EntryFloats(e)
 	if len(vals) == 0 {
 		return data.Value{}, false
 	}
 	ws := s.gatherWeights(sc, e, m)
-	if s.contKernel != nil {
-		return data.Float(s.contKernel.TruthBuf(vals, ws, sc.vbuf, sc.wbuf)), true
-	}
-	// Fallback losses get a scratch copy: the dataset's columns are shared
-	// state and must not reach code that might scribble on its input.
-	vcopy := sc.vals[:len(vals)]
-	copy(vcopy, vals)
-	return data.Float(s.cfg.ContinuousLoss.Truth(vcopy, ws)), true
+	return data.Float(s.cfg.ContinuousLoss.Truth(vals, ws, sc.vbuf, sc.wbuf)), true
 }
 
 // truthChanged reports whether a truth update moved an entry's estimate:
@@ -491,8 +461,8 @@ func (s *solver) scoreEntry(lsum []float64, lcnt []int32, e int, truth data.Valu
 // (unless disabled), rescaled per property so different loss scales
 // are comparable (unless disabled), then averaged across the properties
 // the source observed within each group. It also records each source's
-// observation count per group, consumed by count-aware weight schemes
-// (reg.CountScheme). Both land in solver-owned buffers.
+// observation count per group, which the weight scheme receives (CATD
+// consumes it). Both land in solver-owned buffers.
 func (s *solver) mergeLosses() {
 	K, M := s.d.NumSources(), s.d.NumProps()
 	KM := K * M
@@ -576,20 +546,12 @@ func combineLosses(dst, sum []float64, cnt []int32, M int, props []int, avg []fl
 }
 
 // updateWeights performs Step I under the configured scheme, once per
-// property group, from the losses the last scoring pass left — those
-// of the current truths. Count-aware schemes additionally receive each
-// source's per-group observation count; in-place schemes write into the
+// property group, from the losses and observation counts the last
+// scoring pass left — those of the current truths — writing into the
 // reused weight buffers.
 func (s *solver) updateWeights() {
 	for g, l := range s.groupLosses {
-		switch {
-		case s.countScheme != nil:
-			s.weights[g] = s.countScheme.WeightsWithCounts(l, s.groupCounts[g])
-		case s.inPlace != nil:
-			s.inPlace.WeightsInto(s.weights[g], l)
-		default:
-			s.weights[g] = s.cfg.Scheme.Weights(l)
-		}
+		s.cfg.Scheme.Weights(s.weights[g], l, s.groupCounts[g])
 	}
 }
 
@@ -635,7 +597,7 @@ func (s *solver) confidence() []float64 {
 					}
 				}
 			} else {
-				std := stdGuardLocal(s.prep.entryStd[e])
+				std := loss.StdGuard(s.prep.entryStd[e])
 				vals := c.EntryFloats(e)
 				for j, k := range srcs {
 					total += gw[k]
@@ -658,7 +620,7 @@ func (s *solver) confidence() []float64 {
 						}
 					}
 				} else {
-					std := stdGuardLocal(s.prep.entryStd[e])
+					std := loss.StdGuard(s.prep.entryStd[e])
 					for _, v := range c.EntryFloats(e) {
 						n++
 						if math.Abs(v-truth.F) <= std {
@@ -671,13 +633,4 @@ func (s *solver) confidence() []float64 {
 		}
 	})
 	return conf
-}
-
-// stdGuardLocal floors a spread for the confidence band, mirroring the
-// loss package's normalizer guard.
-func stdGuardLocal(std float64) float64 {
-	if std < 1e-12 {
-		return 1e-12
-	}
-	return std
 }

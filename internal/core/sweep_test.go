@@ -10,14 +10,14 @@ import (
 	"github.com/crhkit/crh/internal/loss"
 )
 
-// countingContinuous is the default continuous loss without its kernel
-// interface, counting Deviation calls — one per claim scored.
+// countingContinuous is the default continuous loss counting Deviation
+// calls — one per claim scored.
 type countingContinuous struct{ n *atomic.Int64 }
 
 func (countingContinuous) Name() string { return "counting-absolute" }
 
-func (countingContinuous) Truth(vals, ws []float64) float64 {
-	return loss.NormalizedAbsolute{}.Truth(vals, ws)
+func (countingContinuous) Truth(vals, ws, vbuf, wbuf []float64) float64 {
+	return loss.NormalizedAbsolute{}.Truth(vals, ws, vbuf, wbuf)
 }
 
 func (c countingContinuous) Deviation(truth, obs, std float64) float64 {
@@ -25,14 +25,16 @@ func (c countingContinuous) Deviation(truth, obs, std float64) float64 {
 	return loss.NormalizedAbsolute{}.Deviation(truth, obs, std)
 }
 
-// countingCategorical is the default categorical loss without its kernel
-// interface, counting Deviation calls.
+// countingCategorical is the default categorical loss counting
+// Deviation calls.
 type countingCategorical struct{ n *atomic.Int64 }
 
 func (countingCategorical) Name() string { return "counting-zero-one" }
 
-func (countingCategorical) Truth(obs []int, ws []float64, p *data.Property) (int, []float64) {
-	return loss.ZeroOne{}.Truth(obs, ws, p)
+func (countingCategorical) NeedsDist() bool { return false }
+
+func (countingCategorical) Truth(codes []uint32, ws []float64, votes, dist []float64, p *data.Property) int {
+	return loss.ZeroOne{}.Truth(codes, ws, votes, dist, p)
 }
 
 func (c countingCategorical) Deviation(truth int, dist []float64, obs int, p *data.Property) float64 {

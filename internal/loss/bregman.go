@@ -37,8 +37,8 @@ func (b Bregman) Name() string {
 }
 
 // Truth implements Continuous: the weighted mean minimizes the total
-// weighted divergence for any Bregman generator.
-func (b Bregman) Truth(vals, ws []float64) float64 {
+// weighted divergence for any Bregman generator, and needs no scratch.
+func (b Bregman) Truth(vals, ws, _, _ []float64) float64 {
 	return stats.WeightedMean(vals, ws)
 }
 
@@ -50,7 +50,7 @@ func (b Bregman) Deviation(truth, obs, std float64) float64 {
 		// Bregman divergence is non-negative.
 		d = 0
 	}
-	return d / stdGuard(std)
+	return d / StdGuard(std)
 }
 
 // SquaredBregman returns the squared loss expressed as a Bregman divergence

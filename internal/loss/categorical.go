@@ -14,22 +14,13 @@ type ZeroOne struct{}
 // Name implements Categorical.
 func (ZeroOne) Name() string { return "zero-one" }
 
-// Truth implements Categorical: weighted voting. Ties break toward the
-// lowest category index, which makes results deterministic.
-func (ZeroOne) Truth(obs []int, ws []float64, p *data.Property) (int, []float64) {
-	votes := make([]float64, p.NumCats())
-	for j, c := range obs {
-		votes[c] += ws[j]
-	}
-	return stats.ArgMax(votes), nil
-}
-
-// NeedsDist implements CategoricalKernel: 0-1 truths are hard decisions.
+// NeedsDist implements Categorical: 0-1 truths are hard decisions.
 func (ZeroOne) NeedsDist() bool { return false }
 
-// TruthCodes implements CategoricalKernel: the same weighted vote as
-// Truth, tallied into caller scratch.
-func (ZeroOne) TruthCodes(codes []uint32, ws []float64, votes, _ []float64, p *data.Property) int {
+// Truth implements Categorical: weighted voting, tallied into votes.
+// Ties break toward the lowest category index, which makes results
+// deterministic.
+func (ZeroOne) Truth(codes []uint32, ws []float64, votes, _ []float64, p *data.Property) int {
 	votes = votes[:p.NumCats()]
 	for i := range votes {
 		votes[i] = 0
@@ -60,38 +51,12 @@ type SquaredProb struct{}
 // Name implements Categorical.
 func (SquaredProb) Name() string { return "squared-prob" }
 
-// Truth implements Categorical: the normalized weighted mean of one-hot
-// vectors (Eq 12), reported as its argmax plus the full distribution.
-func (SquaredProb) Truth(obs []int, ws []float64, p *data.Property) (int, []float64) {
-	dist := make([]float64, p.NumCats())
-	var total float64
-	for j, c := range obs {
-		dist[c] += ws[j]
-		total += ws[j]
-	}
-	if total > 0 {
-		for i := range dist {
-			dist[i] /= total
-		}
-	} else if len(obs) > 0 {
-		// Zero total weight: fall back to an unweighted distribution.
-		u := 1 / float64(len(obs))
-		for i := range dist {
-			dist[i] = 0
-		}
-		for _, c := range obs {
-			dist[c] += u
-		}
-	}
-	return stats.ArgMax(dist), dist
-}
-
-// NeedsDist implements CategoricalKernel: the truth is a distribution.
+// NeedsDist implements Categorical: the truth is a distribution.
 func (SquaredProb) NeedsDist() bool { return true }
 
-// TruthCodes implements CategoricalKernel: Eq(12) computed into the
-// entry's persistent distribution slot instead of a fresh slice.
-func (SquaredProb) TruthCodes(codes []uint32, ws []float64, _, dist []float64, p *data.Property) int {
+// Truth implements Categorical: the normalized weighted mean of one-hot
+// vectors (Eq 12), computed into dist, reported as its argmax.
+func (SquaredProb) Truth(codes []uint32, ws []float64, _, dist []float64, p *data.Property) int {
 	dist = dist[:p.NumCats()]
 	for i := range dist {
 		dist[i] = 0

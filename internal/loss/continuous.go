@@ -6,10 +6,11 @@ import (
 	"github.com/crhkit/crh/internal/stats"
 )
 
-// stdGuard returns a safe normalizer: entries on which all sources agree
+// StdGuard returns a safe normalizer: entries on which all sources agree
 // have zero spread; their deviations are zero anyway for exact agreement,
-// and near-agreement should not blow up, so we floor the normalizer.
-func stdGuard(std float64) float64 {
+// and near-agreement should not blow up, so the normalizer is floored at
+// 1e-12. The solver's confidence band uses the same floor.
+func StdGuard(std float64) float64 {
 	const eps = 1e-12
 	if std < eps {
 		return eps
@@ -29,21 +30,16 @@ type NormalizedSquared struct{}
 // Name implements Continuous.
 func (NormalizedSquared) Name() string { return "squared" }
 
-// Truth implements Continuous: the weighted mean.
-func (NormalizedSquared) Truth(vals, ws []float64) float64 {
-	return stats.WeightedMean(vals, ws)
-}
-
-// TruthBuf implements ContinuousKernel: the weighted mean needs no
-// scratch; it is already allocation-free.
-func (NormalizedSquared) TruthBuf(vals, ws, _, _ []float64) float64 {
+// Truth implements Continuous: the weighted mean, which needs no
+// scratch.
+func (NormalizedSquared) Truth(vals, ws, _, _ []float64) float64 {
 	return stats.WeightedMean(vals, ws)
 }
 
 // Deviation implements Continuous.
 func (NormalizedSquared) Deviation(truth, obs, std float64) float64 {
 	d := truth - obs
-	return d * d / stdGuard(std)
+	return d * d / StdGuard(std)
 }
 
 // NormalizedAbsolute is the normalized absolute-deviation loss of Eq(15):
@@ -58,17 +54,13 @@ type NormalizedAbsolute struct{}
 func (NormalizedAbsolute) Name() string { return "absolute" }
 
 // Truth implements Continuous: the weighted median, computed by expected
-// O(n) quickselect (the solver's hottest path on continuous data).
-func (NormalizedAbsolute) Truth(vals, ws []float64) float64 {
-	return stats.WeightedMedianFast(vals, ws)
-}
-
-// TruthBuf implements ContinuousKernel: quickselect into caller scratch.
-func (NormalizedAbsolute) TruthBuf(vals, ws, vbuf, wbuf []float64) float64 {
+// O(n) quickselect into the scratch (the solver's hottest path on
+// continuous data).
+func (NormalizedAbsolute) Truth(vals, ws, vbuf, wbuf []float64) float64 {
 	return stats.WeightedMedianBuf(vals, ws, vbuf, wbuf)
 }
 
 // Deviation implements Continuous.
 func (NormalizedAbsolute) Deviation(truth, obs, std float64) float64 {
-	return math.Abs(truth-obs) / stdGuard(std)
+	return math.Abs(truth-obs) / StdGuard(std)
 }

@@ -54,17 +54,20 @@ type EditDistance struct{}
 // Name implements Categorical.
 func (EditDistance) Name() string { return "edit-distance" }
 
+// NeedsDist implements Categorical: the medoid is a hard decision.
+func (EditDistance) NeedsDist() bool { return false }
+
 // Truth implements Categorical by weighted-medoid selection over the
 // observed categories. O(u²) in the number of distinct observed values.
-func (EditDistance) Truth(obs []int, ws []float64, p *data.Property) (int, []float64) {
-	if len(obs) == 0 {
-		return -1, nil
+func (EditDistance) Truth(codes []uint32, ws []float64, _, _ []float64, p *data.Property) int {
+	if len(codes) == 0 {
+		return -1
 	}
 	// Pool weights per distinct category first; typical entries have few
 	// distinct claims even with many observers.
 	weight := make(map[int]float64, 4)
-	for j, c := range obs {
-		weight[c] += ws[j]
+	for j, c := range codes {
+		weight[int(c)] += ws[j]
 	}
 	// Iterate candidates in sorted order: map order would vary the cost
 	// summation order (and thus its rounding) run to run, and the medoid
@@ -86,7 +89,7 @@ func (EditDistance) Truth(obs []int, ws []float64, p *data.Property) (int, []flo
 			best, bestCost = cand, cost
 		}
 	}
-	return best, nil
+	return best
 }
 
 // Deviation implements Categorical.

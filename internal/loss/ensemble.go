@@ -35,15 +35,16 @@ func (e EnsembleContinuous) memberWeight(i int) float64 {
 	return e.MemberWeights[i]
 }
 
-// Truth implements Continuous: the weighted average of the member argmins.
-// (The exact argmin of a loss mixture has no closed form in general; the
-// convex combination of member minimizers is the standard surrogate and
-// is exact when all members share a minimizer.)
-func (e EnsembleContinuous) Truth(vals, ws []float64) float64 {
+// Truth implements Continuous: the weighted average of the member argmins,
+// each computed in the shared scratch. (The exact argmin of a loss
+// mixture has no closed form in general; the convex combination of
+// member minimizers is the standard surrogate and is exact when all
+// members share a minimizer.)
+func (e EnsembleContinuous) Truth(vals, ws, vbuf, wbuf []float64) float64 {
 	ts := make([]float64, len(e.Members))
 	mw := make([]float64, len(e.Members))
 	for i, m := range e.Members {
-		ts[i] = m.Truth(vals, ws)
+		ts[i] = m.Truth(vals, ws, vbuf, wbuf)
 		mw[i] = e.memberWeight(i)
 	}
 	return stats.WeightedMean(ts, mw)

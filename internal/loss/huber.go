@@ -40,7 +40,7 @@ func (h Huber) Name() string { return "huber" }
 
 // Deviation implements Continuous.
 func (h Huber) Deviation(truth, obs, std float64) float64 {
-	s := stdGuard(std)
+	s := StdGuard(std)
 	r := math.Abs(truth-obs) / s
 	d := h.delta()
 	if r <= d {
@@ -49,8 +49,9 @@ func (h Huber) Deviation(truth, obs, std float64) float64 {
 	return d * (r - d/2)
 }
 
-// Truth implements Continuous: IRLS on the convex Huber objective.
-func (h Huber) Truth(vals, ws []float64) float64 {
+// Truth implements Continuous: IRLS on the convex Huber objective, with
+// the robust scale and the starting median computed in the scratch.
+func (h Huber) Truth(vals, ws, vbuf, wbuf []float64) float64 {
 	if len(vals) == 0 {
 		return 0
 	}
@@ -59,12 +60,12 @@ func (h Huber) Truth(vals, ws []float64) float64 {
 	// loss exists to resist (one wild value can stretch δ·s past itself
 	// and disable the linear regime). Use the normal-consistent MAD,
 	// falling back to the std when more than half the values coincide.
-	s := 1.4826 * stats.MAD(vals)
+	s := 1.4826 * stats.MAD(vals, vbuf, wbuf)
 	if s < 1e-12 {
-		s = stdGuard(stats.Std(vals))
+		s = StdGuard(stats.Std(vals))
 	}
 	d := h.delta() * s
-	v := stats.WeightedMedianFast(vals, ws)
+	v := stats.WeightedMedianBuf(vals, ws, vbuf, wbuf)
 	iters := h.IRLSIters
 	if iters == 0 {
 		iters = 20
@@ -86,7 +87,7 @@ func (h Huber) Truth(vals, ws []float64) float64 {
 			den += w
 		}
 		if den == 0 {
-			return stats.WeightedMedian(vals, ws)
+			return stats.WeightedMedianBuf(vals, ws, vbuf, wbuf)
 		}
 		next := num / den
 		if math.Abs(next-v) <= tol*(1+math.Abs(v)) {

@@ -6,47 +6,66 @@ import (
 	"testing"
 )
 
-// The kernel interfaces promise bit-identity with the allocating API:
-// TruthBuf/TruthCodes must return exactly the bits Truth returns, on any
-// input, including degenerate weights. These tests drive both paths over
-// seeded random cases and compare Float64bits.
+// The two tests below pin the contract the solver relies on when it
+// hands a loss the dataset's claim columns uncopied: for every built-in
+// loss, Truth returns exactly the bits with NaN-filled scratch that it
+// returns with clean scratch (and SquaredProb fills the same
+// distribution), and vals, ws and codes come back unmodified. Coarse
+// quantization provokes duplicate values and the median's tie paths;
+// every few trials the weights are all zero.
 
-func bitsEqual(a, b float64) bool {
-	return math.Float64bits(a) == math.Float64bits(b)
+// nanFilled returns a scratch buffer of length n holding NaNs.
+func nanFilled(n int) []float64 {
+	buf := make([]float64, n)
+	for i := range buf {
+		buf[i] = math.NaN()
+	}
+	return buf
+}
+
+func sameBits(a, b []float64) bool {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// scratchWeights draws n quantized weights, all zero every fifth trial.
+func scratchWeights(rng *rand.Rand, n, trial int) []float64 {
+	ws := make([]float64, n)
+	if trial%5 != 0 {
+		for i := range ws {
+			ws[i] = math.Round(rng.Float64()*8) / 4
+		}
+	}
+	return ws
 }
 
 func TestContinuousKernelBitIdentity(t *testing.T) {
-	kernels := []ContinuousKernel{NormalizedAbsolute{}, NormalizedSquared{}}
 	rng := rand.New(rand.NewSource(7))
-	for _, k := range kernels {
-		t.Run(k.Name(), func(t *testing.T) {
+	continuous := []Continuous{
+		NormalizedAbsolute{}, NormalizedSquared{}, Huber{}, SquaredBregman(),
+		EnsembleContinuous{Members: []Continuous{NormalizedAbsolute{}, Huber{}}},
+	}
+	for _, l := range continuous {
+		t.Run(l.Name(), func(t *testing.T) {
 			for trial := 0; trial < 500; trial++ {
 				n := 1 + rng.Intn(12)
 				vals := make([]float64, n)
-				ws := make([]float64, n)
 				for i := range vals {
-					// Coarse quantization provokes the duplicate-value and
-					// numerical-tie paths (the fast median's fallback).
 					vals[i] = math.Round(rng.NormFloat64() * 4)
-					ws[i] = math.Round(rng.Float64()*8) / 4
 				}
-				if trial%7 == 0 {
-					for i := range ws {
-						ws[i] = 0 // zero total weight path
-					}
+				ws := scratchWeights(rng, n, trial)
+				origV, origW := append([]float64(nil), vals...), append([]float64(nil), ws...)
+				want := l.Truth(vals, ws, make([]float64, n), make([]float64, n))
+				got := l.Truth(vals, ws, nanFilled(n), nanFilled(n))
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("trial %d: NaN scratch %v, clean scratch %v (vals=%v ws=%v)", trial, got, want, vals, ws)
 				}
-				vbuf, wbuf := make([]float64, n), make([]float64, n)
-				want := k.Truth(vals, ws)
-				got := k.TruthBuf(vals, ws, vbuf, wbuf)
-				if !bitsEqual(want, got) {
-					t.Fatalf("trial %d: TruthBuf %v, Truth %v (vals=%v ws=%v)", trial, got, want, vals, ws)
-				}
-				// Dirty scratch must not leak into the result.
-				for i := range vbuf {
-					vbuf[i], wbuf[i] = math.NaN(), math.NaN()
-				}
-				if got := k.TruthBuf(vals, ws, vbuf, wbuf); !bitsEqual(want, got) {
-					t.Fatalf("trial %d: dirty scratch changed the result: %v vs %v", trial, got, want)
+				if !sameBits(vals, origV) || !sameBits(ws, origW) {
+					t.Fatalf("trial %d: inputs modified", trial)
 				}
 			}
 		})
@@ -54,78 +73,37 @@ func TestContinuousKernelBitIdentity(t *testing.T) {
 }
 
 func TestCategoricalKernelBitIdentity(t *testing.T) {
-	p := catProp(t, "a", "b", "c", "d", "e")
-	kernels := []CategoricalKernel{ZeroOne{}, SquaredProb{}}
 	rng := rand.New(rand.NewSource(11))
-	for _, k := range kernels {
-		t.Run(k.Name(), func(t *testing.T) {
-			nc := p.NumCats()
+	p := catProp(t, "B12", "B-12", "C7", "d", "e")
+	nc := p.NumCats()
+	for _, l := range []Categorical{ZeroOne{}, SquaredProb{}, EditDistance{}} {
+		t.Run(l.Name(), func(t *testing.T) {
 			for trial := 0; trial < 500; trial++ {
 				n := 1 + rng.Intn(10)
-				obs := make([]int, n)
 				codes := make([]uint32, n)
-				ws := make([]float64, n)
-				for i := range obs {
-					obs[i] = rng.Intn(nc)
-					codes[i] = uint32(obs[i])
-					ws[i] = math.Round(rng.Float64()*8) / 4
+				for i := range codes {
+					codes[i] = uint32(rng.Intn(nc))
 				}
-				if trial%5 == 0 {
-					for i := range ws {
-						ws[i] = 0 // zero total weight: unweighted fallback
+				ws := scratchWeights(rng, n, trial)
+				origC, origW := append([]uint32(nil), codes...), append([]float64(nil), ws...)
+				var wantDist, gotDist []float64
+				if l.NeedsDist() {
+					wantDist, gotDist = make([]float64, nc), nanFilled(nc)
+				}
+				want := l.Truth(codes, ws, make([]float64, nc), wantDist, p)
+				got := l.Truth(codes, ws, nanFilled(nc), gotDist, p)
+				if got != want || !sameBits(gotDist, wantDist) {
+					t.Fatalf("trial %d: NaN scratch %d %v, clean scratch %d %v (codes=%v ws=%v)", trial, got, gotDist, want, wantDist, codes, ws)
+				}
+				for i := range codes {
+					if codes[i] != origC[i] {
+						t.Fatalf("trial %d: codes modified", trial)
 					}
 				}
-				votes := make([]float64, nc)
-				var dist []float64
-				if k.NeedsDist() {
-					dist = make([]float64, nc)
-				}
-				// Seed the scratch with garbage: kernels must fully overwrite.
-				for i := range votes {
-					votes[i] = math.NaN()
-				}
-				for i := range dist {
-					dist[i] = math.NaN()
-				}
-				wantTruth, wantDist := k.Truth(obs, ws, p)
-				gotTruth := k.TruthCodes(codes, ws, votes, dist, p)
-				if gotTruth != wantTruth {
-					t.Fatalf("trial %d: TruthCodes %d, Truth %d (obs=%v ws=%v)", trial, gotTruth, wantTruth, obs, ws)
-				}
-				if k.NeedsDist() != (wantDist != nil) {
-					t.Fatalf("NeedsDist %t but Truth returned dist %v", k.NeedsDist(), wantDist)
-				}
-				for i := range wantDist {
-					if !bitsEqual(wantDist[i], dist[i]) {
-						t.Fatalf("trial %d: dist[%d] = %v, want %v", trial, i, dist[i], wantDist[i])
-					}
+				if !sameBits(ws, origW) {
+					t.Fatalf("trial %d: weights modified", trial)
 				}
 			}
 		})
-	}
-}
-
-// TestKernelInterfaceCoverage pins which losses expose kernels: the
-// defaults must (the solver's zero-allocation guarantee rests on them),
-// and the deliberately-fallback losses must not silently grow one
-// without the bit-identity suite learning about it.
-func TestKernelInterfaceCoverage(t *testing.T) {
-	if _, ok := interface{}(NormalizedAbsolute{}).(ContinuousKernel); !ok {
-		t.Error("NormalizedAbsolute must implement ContinuousKernel")
-	}
-	if _, ok := interface{}(NormalizedSquared{}).(ContinuousKernel); !ok {
-		t.Error("NormalizedSquared must implement ContinuousKernel")
-	}
-	if _, ok := interface{}(ZeroOne{}).(CategoricalKernel); !ok {
-		t.Error("ZeroOne must implement CategoricalKernel")
-	}
-	if _, ok := interface{}(SquaredProb{}).(CategoricalKernel); !ok {
-		t.Error("SquaredProb must implement CategoricalKernel")
-	}
-	if _, ok := interface{}(Huber{}).(ContinuousKernel); ok {
-		t.Error("Huber grew a kernel: add it to the bit-identity suite")
-	}
-	if _, ok := interface{}(EditDistance{}).(CategoricalKernel); ok {
-		t.Error("EditDistance grew a kernel: add it to the bit-identity suite")
 	}
 }

@@ -11,6 +11,10 @@
 // their truth spaces differ: continuous truths range over ℝ while
 // categorical truths range over the property's dictionary (optionally with
 // a probability distribution over it).
+//
+// Truth receives caller-owned scratch, so a loss needs no allocation of
+// its own, and its inputs are read-only: the solver hands it views of the
+// dataset's shared claim columns, not copies.
 package loss
 
 import "github.com/crhkit/crh/internal/data"
@@ -22,45 +26,12 @@ import "github.com/crhkit/crh/internal/data"
 type Continuous interface {
 	// Name identifies the loss in options and reports.
 	Name() string
-	// Truth returns argmin_v Σ_k ws[k] · d(v, vals[k]).
-	Truth(vals, ws []float64) float64
+	// Truth returns argmin_v Σ_k ws[k] · d(v, vals[k]). vals and ws are
+	// read-only. vbuf and wbuf (each of length ≥ len(vals)) are scratch
+	// the loss may overwrite; their contents on entry are arbitrary.
+	Truth(vals, ws, vbuf, wbuf []float64) float64
 	// Deviation returns d(truth, obs) normalized by std.
 	Deviation(truth, obs, std float64) float64
-}
-
-// ContinuousKernel is the allocation-free fast path of a Continuous
-// loss. The columnar solver detects it once per run and hands every
-// truth update caller-owned scratch; losses without a kernel fall back
-// to Truth, which may allocate. Implementations must return exactly the
-// bits Truth returns — the kernel is a performance contract, never a
-// semantic one.
-type ContinuousKernel interface {
-	Continuous
-	// TruthBuf is Truth with scratch: vbuf and wbuf (each of length
-	// ≥ len(vals)) are caller-owned working buffers the kernel may
-	// overwrite. vals and ws are read-only.
-	TruthBuf(vals, ws, vbuf, wbuf []float64) float64
-}
-
-// CategoricalKernel is the allocation-free fast path of a Categorical
-// loss, operating directly on interned category codes from the columnar
-// claim index (codes are identical to the property's category indices,
-// so tie-breaking is unchanged). Implementations must make TruthCodes
-// bit-identical to Truth.
-type CategoricalKernel interface {
-	Categorical
-	// NeedsDist reports whether TruthCodes fills a per-entry truth
-	// distribution. When false the solver passes dist == nil and skips
-	// the distribution arena entirely.
-	NeedsDist() bool
-	// TruthCodes is Truth over interned codes: codes[j] is the jth
-	// observer's category code and ws[j] its source weight. votes is
-	// transient scratch (length ≥ p.NumCats(), contents arbitrary,
-	// clobbered). dist, when NeedsDist, is the entry's persistent
-	// distribution storage (length p.NumCats()); the kernel overwrites
-	// it with the same values Truth would have returned. The returned
-	// truth is the winning category index.
-	TruthCodes(codes []uint32, ws []float64, votes, dist []float64, p *data.Property) int
 }
 
 // Categorical is a loss over discrete-valued properties. Observations and
@@ -68,13 +39,19 @@ type CategoricalKernel interface {
 type Categorical interface {
 	// Name identifies the loss in options and reports.
 	Name() string
-	// Truth aggregates weighted observations into a truth: the category
-	// index minimizing the weighted loss, plus an optional probability
-	// distribution over categories (nil for hard losses). obs[j] is the
-	// jth observer's category and ws[j] its source weight.
-	Truth(obs []int, ws []float64, p *data.Property) (truth int, dist []float64)
+	// NeedsDist reports whether Truth fills a per-entry probability
+	// distribution over the categories. When false, Truth and Deviation
+	// always receive dist == nil.
+	NeedsDist() bool
+	// Truth returns the category index minimizing the weighted loss.
+	// codes[j] is the jth observer's category index and ws[j] its
+	// source weight; both are read-only. votes is scratch of length
+	// ≥ p.NumCats() whose contents on entry are arbitrary. When
+	// NeedsDist, dist (length p.NumCats()) is the entry's distribution
+	// storage, which Truth overwrites and Deviation later receives.
+	Truth(codes []uint32, ws []float64, votes, dist []float64, p *data.Property) int
 	// Deviation returns the loss of an observation against the current
-	// truth. dist is the distribution returned by Truth (nil for hard
-	// losses).
+	// truth. dist is the distribution Truth filled, or nil for hard
+	// losses and for truths no Truth call chose (pinned or seeded).
 	Deviation(truth int, dist []float64, obs int, p *data.Property) float64
 }

@@ -24,6 +24,25 @@ func catProp(t *testing.T, cats ...string) *data.Property {
 	return b.Build().Prop(0)
 }
 
+// contTruth runs l.Truth with fresh scratch.
+func contTruth(l Continuous, vals, ws []float64) float64 {
+	return l.Truth(vals, ws, make([]float64, len(vals)), make([]float64, len(vals)))
+}
+
+// catTruth runs l.Truth over category indices with fresh scratch,
+// returning the distribution it filled (nil for hard losses).
+func catTruth(l Categorical, obs []int, ws []float64, p *data.Property) (int, []float64) {
+	codes := make([]uint32, len(obs))
+	for i, c := range obs {
+		codes[i] = uint32(c)
+	}
+	var dist []float64
+	if l.NeedsDist() {
+		dist = make([]float64, p.NumCats())
+	}
+	return l.Truth(codes, ws, make([]float64, p.NumCats()), dist, p), dist
+}
+
 func TestNormalizedSquared(t *testing.T) {
 	l := NormalizedSquared{}
 	if l.Name() != "squared" {
@@ -33,7 +52,7 @@ func TestNormalizedSquared(t *testing.T) {
 		t.Errorf("Deviation = %v, want 2", got)
 	}
 	// Truth is the weighted mean.
-	if got := l.Truth([]float64{0, 10}, []float64{1, 3}); !almostEq(got, 7.5) {
+	if got := contTruth(l, []float64{0, 10}, []float64{1, 3}); !almostEq(got, 7.5) {
 		t.Errorf("Truth = %v, want 7.5", got)
 	}
 	// Zero std must not produce Inf for nonzero difference.
@@ -51,11 +70,11 @@ func TestNormalizedAbsolute(t *testing.T) {
 		t.Errorf("Deviation = %v, want 1", got)
 	}
 	// Truth is the weighted median: robust to one big outlier.
-	if got := l.Truth([]float64{10, 11, 1000}, []float64{1, 1, 1}); got != 11 {
+	if got := contTruth(l, []float64{10, 11, 1000}, []float64{1, 1, 1}); got != 11 {
 		t.Errorf("Truth = %v, want 11", got)
 	}
 	// With overwhelming weight on the outlier, the median moves there.
-	if got := l.Truth([]float64{10, 11, 1000}, []float64{0.1, 0.1, 5}); got != 1000 {
+	if got := contTruth(l, []float64{10, 11, 1000}, []float64{0.1, 0.1, 5}); got != 1000 {
 		t.Errorf("Truth = %v, want 1000", got)
 	}
 }
@@ -73,7 +92,7 @@ func TestContinuousTruthMinimizesLoss(t *testing.T) {
 				vals[i] = rng.Float64() * 100
 				ws[i] = rng.Float64() + 0.01
 			}
-			truth := l.Truth(vals, ws)
+			truth := contTruth(l, vals, ws)
 			cost := func(v float64) float64 {
 				var c float64
 				for i := range vals {
@@ -101,12 +120,12 @@ func TestContinuousTruthMinimizesLoss(t *testing.T) {
 func TestZeroOne(t *testing.T) {
 	l := ZeroOne{}
 	p := catProp(t, "a", "b", "c")
-	truth, dist := l.Truth([]int{0, 1, 1}, []float64{1, 1, 1}, p)
+	truth, dist := catTruth(l, []int{0, 1, 1}, []float64{1, 1, 1}, p)
 	if truth != 1 || dist != nil {
 		t.Fatalf("Truth = %d dist=%v, want 1 nil", truth, dist)
 	}
 	// Weighted voting can overturn the majority.
-	truth, _ = l.Truth([]int{0, 1, 1}, []float64{5, 1, 1}, p)
+	truth, _ = catTruth(l, []int{0, 1, 1}, []float64{5, 1, 1}, p)
 	if truth != 0 {
 		t.Fatalf("weighted Truth = %d, want 0", truth)
 	}
@@ -114,7 +133,7 @@ func TestZeroOne(t *testing.T) {
 		t.Error("0-1 deviations wrong")
 	}
 	// Deterministic tie-break toward the lower index.
-	truth, _ = l.Truth([]int{2, 0}, []float64{1, 1}, p)
+	truth, _ = catTruth(l, []int{2, 0}, []float64{1, 1}, p)
 	if truth != 0 {
 		t.Fatalf("tie-break Truth = %d, want 0", truth)
 	}
@@ -123,7 +142,7 @@ func TestZeroOne(t *testing.T) {
 func TestSquaredProb(t *testing.T) {
 	l := SquaredProb{}
 	p := catProp(t, "a", "b")
-	truth, dist := l.Truth([]int{0, 0, 1}, []float64{1, 1, 2}, p)
+	truth, dist := catTruth(l, []int{0, 0, 1}, []float64{1, 1, 2}, p)
 	if truth != 0 && truth != 1 {
 		t.Fatalf("Truth = %d", truth)
 	}
@@ -143,12 +162,12 @@ func TestSquaredProb(t *testing.T) {
 		t.Fatalf("Deviation = %v, want %v", got, want)
 	}
 	// A unanimous entry has zero deviation for the agreeing observer.
-	_, dist = l.Truth([]int{1, 1}, []float64{1, 2}, p)
+	_, dist = catTruth(l, []int{1, 1}, []float64{1, 2}, p)
 	if got := l.Deviation(1, dist, 1, p); !almostEq(got, 0) {
 		t.Fatalf("unanimous Deviation = %v, want 0", got)
 	}
 	// Zero weights fall back to the unweighted distribution.
-	_, dist = l.Truth([]int{0, 1}, []float64{0, 0}, p)
+	_, dist = catTruth(l, []int{0, 1}, []float64{0, 0}, p)
 	if !almostEq(dist[0], 0.5) || !almostEq(dist[1], 0.5) {
 		t.Fatalf("zero-weight dist = %v", dist)
 	}
@@ -180,7 +199,7 @@ func TestSquaredProbDistQuick(t *testing.T) {
 			obs[i] = int(r) % 4
 			ws[i] = float64(r%5) + 0.25
 		}
-		truth, dist := l.Truth(obs, ws, p)
+		truth, dist := catTruth(l, obs, ws, p)
 		var sum float64
 		for _, d := range dist {
 			if d < -1e-12 {
@@ -231,7 +250,7 @@ func TestEditDistanceLoss(t *testing.T) {
 	p := catProp(t, "B12", "B-12", "C7")
 	// Two near-identical gate strings and one distant: the medoid should
 	// be one of the near pair.
-	truth, _ := l.Truth([]int{0, 1, 2}, []float64{1, 1, 1}, p)
+	truth, _ := catTruth(l, []int{0, 1, 2}, []float64{1, 1, 1}, p)
 	if name := p.CatName(truth); name != "B12" && name != "B-12" {
 		t.Fatalf("medoid = %q, want a member of the near pair", name)
 	}
@@ -243,7 +262,7 @@ func TestEditDistanceLoss(t *testing.T) {
 	if !(d1 < d2) {
 		t.Fatalf("near-miss %v should cost less than distant %v", d1, d2)
 	}
-	if truth, _ := l.Truth(nil, nil, p); truth != -1 {
+	if truth, _ := catTruth(l, nil, nil, p); truth != -1 {
 		t.Fatal("empty Truth should be -1")
 	}
 	if got := l.Deviation(-1, nil, 0, p); got != 1 {
@@ -261,7 +280,7 @@ func TestBregmanSquaredMatchesSquared(t *testing.T) {
 			t.Fatalf("Bregman squared %v != squared %v", got, want)
 		}
 	}
-	if got := b.Truth([]float64{1, 3}, []float64{1, 1}); !almostEq(got, 2) {
+	if got := contTruth(b, []float64{1, 3}, []float64{1, 1}); !almostEq(got, 2) {
 		t.Fatalf("Bregman Truth = %v", got)
 	}
 	if b.Name() != "bregman-squared" {
@@ -346,9 +365,9 @@ func TestHuberTruthBetweenMedianAndMean(t *testing.T) {
 	// — far closer to the median than the mean.
 	vals := []float64{10, 10.5, 11, 9.5, 10.2, 1000}
 	ws := []float64{1, 1, 1, 1, 1, 1}
-	huber := Huber{}.Truth(vals, ws)
-	mean := NormalizedSquared{}.Truth(vals, ws)
-	median := NormalizedAbsolute{}.Truth(vals, ws)
+	huber := contTruth(Huber{}, vals, ws)
+	mean := contTruth(NormalizedSquared{}, vals, ws)
+	median := contTruth(NormalizedAbsolute{}, vals, ws)
 	if !(math.Abs(huber-median) < math.Abs(huber-mean)) {
 		t.Fatalf("huber %v should sit near median %v, not mean %v", huber, median, mean)
 	}
@@ -370,7 +389,7 @@ func TestHuberTruthIsArgmin(t *testing.T) {
 			vals[i] = rng.Float64() * 50
 			ws[i] = 0.1 + rng.Float64()
 		}
-		truth := h.Truth(vals, ws)
+		truth := contTruth(h, vals, ws)
 		// The same robust scale Truth used internally.
 		std := 1.4826 * madOf(vals)
 		if std < 1e-12 {
@@ -429,14 +448,14 @@ func stdOf(xs []float64) float64 {
 
 func TestHuberEdgeCases(t *testing.T) {
 	h := Huber{}
-	if h.Truth(nil, nil) != 0 {
+	if contTruth(h, nil, nil) != 0 {
 		t.Fatal("empty")
 	}
-	if got := h.Truth([]float64{7}, []float64{1}); got != 7 {
+	if got := contTruth(h, []float64{7}, []float64{1}); got != 7 {
 		t.Fatalf("single value = %v", got)
 	}
 	// Zero weights fall back gracefully.
-	if got := h.Truth([]float64{1, 5}, []float64{0, 0}); math.IsNaN(got) {
+	if got := contTruth(h, []float64{1, 5}, []float64{0, 0}); math.IsNaN(got) {
 		t.Fatal("zero weights produced NaN")
 	}
 	if h.Name() != "huber" {

@@ -38,10 +38,11 @@ func Tuples(d *data.Dataset) []Record {
 // ParallelConfig controls a parallel CRH fusion.
 type ParallelConfig struct {
 	// Core supplies the loss functions, weight scheme, normalization
-	// flags and iteration bounds shared with serial CRH. Probabilistic
-	// categorical losses are not supported in the MapReduce formulation
-	// (their per-entry distributions do not fit the per-tuple mapper);
-	// the paper's defaults (0-1 loss, weighted median) are.
+	// flags and iteration bounds shared with serial CRH. Categorical
+	// losses whose NeedsDist reports true (probabilistic ones) are not
+	// supported in the MapReduce formulation (their per-entry
+	// distributions do not fit the per-tuple mapper); the paper's
+	// defaults (0-1 loss, weighted median) are.
 	Core core.Config
 	// Mappers and Reducers size the two jobs' task pools. When zero they
 	// follow Core.Workers (the solver-wide worker budget), falling back
@@ -97,13 +98,11 @@ type errPair struct {
 // stop changing or Core.MaxIters is reached.
 //
 // For the paper's default losses the fusion is step-for-step equivalent to
-// the serial solver and produces identical truths.
+// the serial solver and produces identical truths; the weight scheme
+// receives each source's observation count, as the serial solver's does.
 func RunParallel(d *data.Dataset, cfg ParallelConfig) (*ParallelResult, error) {
 	if d.NumSources() == 0 || d.NumEntries() == 0 {
 		return nil, core.ErrEmptyDataset
-	}
-	if _, ok := cfg.Core.CategoricalLoss.(loss.SquaredProb); ok {
-		return nil, errors.New("mapreduce: probabilistic categorical loss is not supported in parallel CRH")
 	}
 	ccfg := cfg.Core
 	if ccfg.ContinuousLoss == nil {
@@ -111,6 +110,9 @@ func RunParallel(d *data.Dataset, cfg ParallelConfig) (*ParallelResult, error) {
 	}
 	if ccfg.CategoricalLoss == nil {
 		ccfg.CategoricalLoss = loss.ZeroOne{}
+	}
+	if ccfg.CategoricalLoss.NeedsDist() {
+		return nil, errors.New("mapreduce: probabilistic categorical loss is not supported in parallel CRH")
 	}
 	if ccfg.Scheme == nil {
 		ccfg.Scheme = reg.ExpMax{}
@@ -168,25 +170,25 @@ func RunParallel(d *data.Dataset, cfg ParallelConfig) (*ParallelResult, error) {
 				// mapper sharding; sorting by source restores the
 				// serial solver's iteration order bit-for-bit.
 				sort.Slice(ts, func(i, j int) bool { return ts[i].SID < ts[j].SID })
+				n := len(ts)
+				ws := make([]float64, n)
 				if p.Type == data.Categorical {
-					obs := make([]int, len(ts))
-					ws := make([]float64, len(ts))
+					codes := make([]uint32, n)
 					for i, t := range ts {
-						obs[i] = int(t.V.C)
+						codes[i] = uint32(t.V.C)
 						ws[i] = weights[t.SID]
 					}
-					truth, _ := ccfg.CategoricalLoss.Truth(obs, ws, p)
+					truth := ccfg.CategoricalLoss.Truth(codes, ws, make([]float64, p.NumCats()), nil, p)
 					emit(KV{Key: key, Value: truthOut{v: data.Cat(truth)}})
 					return
 				}
-				vals := make([]float64, len(ts))
-				ws := make([]float64, len(ts))
+				vals := make([]float64, n)
 				for i, t := range ts {
 					vals[i] = t.V.F
 					ws[i] = weights[t.SID]
 				}
 				emit(KV{Key: key, Value: truthOut{
-					v:   data.Float(ccfg.ContinuousLoss.Truth(vals, ws)),
+					v:   data.Float(ccfg.ContinuousLoss.Truth(vals, ws, make([]float64, n), make([]float64, n))),
 					std: stats.Std(vals),
 				}})
 			},
@@ -267,16 +269,19 @@ func RunParallel(d *data.Dataset, cfg ParallelConfig) (*ParallelResult, error) {
 		res.Jobs = append(res.Jobs, st)
 
 		// Driver: assemble the loss matrix, normalize exactly like the
-		// serial solver, and update the shared weight file.
+		// serial solver, and update the shared weight file from the
+		// losses and each source's observation count.
 		sum := make([]float64, K*M)
 		cnt := make([]int32, K*M)
+		counts := make([]int, K)
 		for _, kv := range out {
 			k, m := parseSrcPropKey(kv.Key)
 			p := kv.Value.(errPair)
 			sum[k*M+m] = p.sum
 			cnt[k*M+m] = int32(p.count)
+			counts[k] += p.count
 		}
-		weights = ccfg.Scheme.Weights(core.CombineLosses(sum, cnt, M, ccfg))
+		ccfg.Scheme.Weights(weights, core.CombineLosses(sum, cnt, M, ccfg), counts)
 	}
 
 	res.Truths = truths

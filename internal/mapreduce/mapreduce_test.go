@@ -194,50 +194,66 @@ func TestTuples(t *testing.T) {
 }
 
 // TestParallelMatchesSerial is the key equivalence test: parallel CRH must
-// produce the same truths as the serial solver on mixed-type data.
+// produce the same truths and weights as the serial solver on mixed-type
+// data, under the default scheme and under CATD, which also weighs each
+// source's observation count. Parallel iteration i's truth job runs under
+// the weights of serial iteration i (job 0 is the serial initialization),
+// so a 7-iteration fusion ends on the serial solver's sixth truths and a
+// 6-iteration one on its sixth weights.
 func TestParallelMatchesSerial(t *testing.T) {
 	d, _ := synth.Weather(synth.WeatherConfig{Seed: 51, Cities: 6, Days: 10})
-	serial, err := core.Run(d, core.Config{MaxIters: 6, Tol: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := RunParallel(d, ParallelConfig{Core: core.Config{MaxIters: 7, Tol: -1}, Reducers: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var checked int
-	for e := 0; e < d.NumEntries(); e++ {
-		sv, sok := serial.Truths.Get(e)
-		pv, pok := par.Truths.Get(e)
-		if sok != pok {
-			t.Fatalf("entry %d presence differs", e)
-		}
-		if !sok {
-			continue
-		}
-		checked++
-		if d.Prop(d.EntryProp(e)).Type == data.Categorical {
-			if sv.C != pv.C {
-				t.Fatalf("entry %d categorical truth differs: %d vs %d", e, sv.C, pv.C)
+	for _, scheme := range []reg.Scheme{reg.ExpMax{}, reg.CATD{}} {
+		t.Run(scheme.Name(), func(t *testing.T) {
+			cfg := core.Config{Scheme: scheme, MaxIters: 6, Tol: -1}
+			serial, err := core.Run(d, cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-		} else if math.Abs(sv.F-pv.F) > 1e-9 {
-			t.Fatalf("entry %d continuous truth differs: %v vs %v", e, sv.F, pv.F)
-		}
-	}
-	if checked == 0 {
-		t.Fatal("nothing compared")
-	}
-	for k := range serial.Weights {
-		if math.Abs(serial.Weights[k]-par.Weights[k]) > 1e-6 {
-			t.Fatalf("weight %d differs: %v vs %v", k, serial.Weights[k], par.Weights[k])
-		}
-	}
-	// Two jobs per iteration.
-	if len(par.Jobs) != 2*par.Iterations && len(par.Jobs) != 2*par.Iterations-1 {
-		t.Fatalf("%d jobs for %d iterations", len(par.Jobs), par.Iterations)
-	}
-	if par.SimulatedTime <= 0 || par.WallTime <= 0 {
-		t.Fatal("times not recorded")
+			cfg.MaxIters = 7
+			par, err := RunParallel(d, ParallelConfig{Core: cfg, Reducers: 5, DisableEarlyStop: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var checked int
+			for e := 0; e < d.NumEntries(); e++ {
+				sv, sok := serial.Truths.Get(e)
+				pv, pok := par.Truths.Get(e)
+				if sok != pok {
+					t.Fatalf("entry %d presence differs", e)
+				}
+				if !sok {
+					continue
+				}
+				checked++
+				if d.Prop(d.EntryProp(e)).Type == data.Categorical {
+					if sv.C != pv.C {
+						t.Fatalf("entry %d categorical truth differs: %d vs %d", e, sv.C, pv.C)
+					}
+				} else if math.Abs(sv.F-pv.F) > 1e-9 {
+					t.Fatalf("entry %d continuous truth differs: %v vs %v", e, sv.F, pv.F)
+				}
+			}
+			if checked == 0 {
+				t.Fatal("nothing compared")
+			}
+			// Two jobs per iteration.
+			if len(par.Jobs) != 2*par.Iterations {
+				t.Fatalf("%d jobs for %d iterations", len(par.Jobs), par.Iterations)
+			}
+			if par.SimulatedTime <= 0 || par.WallTime <= 0 {
+				t.Fatal("times not recorded")
+			}
+			cfg.MaxIters = 6
+			par, err = RunParallel(d, ParallelConfig{Core: cfg, Reducers: 5, DisableEarlyStop: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := range serial.Weights {
+				if math.Abs(serial.Weights[k]-par.Weights[k]) > 1e-9 {
+					t.Fatalf("weight %d differs: %v vs %v", k, serial.Weights[k], par.Weights[k])
+				}
+			}
+		})
 	}
 }
 
@@ -382,9 +398,6 @@ func TestClusterEstimateSums(t *testing.T) {
 // are a batch-solver feature: the MapReduce weight job keys by
 // (source, property) and the driver combines globally.
 func TestParallelRunsWithCATD(t *testing.T) {
-	// CATD is a plain Scheme from the driver's perspective (counts are
-	// not routed through the MapReduce path), so the fusion must still
-	// work and produce sane weights.
 	d, _ := synth.Adult(synth.UCIConfig{Seed: 60, Rows: 100})
 	res, err := RunParallel(d, ParallelConfig{Core: core.Config{Scheme: reg.CATD{}}})
 	if err != nil {

@@ -7,8 +7,15 @@ import (
 	"testing/quick"
 )
 
+// weights runs s into a fresh destination.
+func weights(s Scheme, losses []float64, counts []int) []float64 {
+	dst := make([]float64, len(losses))
+	s.Weights(dst, losses, counts)
+	return dst
+}
+
 func TestExpSumOrdering(t *testing.T) {
-	ws := ExpSum{}.Weights([]float64{1, 2, 4})
+	ws := weights(ExpSum{}, []float64{1, 2, 4}, nil)
 	if len(ws) != 3 {
 		t.Fatal("length")
 	}
@@ -23,7 +30,7 @@ func TestExpSumOrdering(t *testing.T) {
 }
 
 func TestExpMaxOrdering(t *testing.T) {
-	ws := ExpMax{}.Weights([]float64{1, 2, 4})
+	ws := weights(ExpMax{}, []float64{1, 2, 4}, nil)
 	if !(ws[0] > ws[1] && ws[1] > ws[2]) {
 		t.Fatalf("weights %v should strictly decrease with loss", ws)
 	}
@@ -39,8 +46,8 @@ func TestExpMaxOrdering(t *testing.T) {
 
 func TestExpMaxSpreadsMoreThanExpSum(t *testing.T) {
 	losses := []float64{1, 2, 4, 8}
-	sum := ExpSum{}.Weights(losses)
-	max := ExpMax{}.Weights(losses)
+	sum := weights(ExpSum{}, losses, nil)
+	max := weights(ExpMax{}, losses, nil)
 	spread := func(ws []float64) float64 {
 		lo, hi := ws[0], ws[0]
 		for _, w := range ws {
@@ -64,7 +71,7 @@ func TestExpMaxSpreadsMoreThanExpSum(t *testing.T) {
 func TestZeroLossGuards(t *testing.T) {
 	for _, s := range []Scheme{ExpSum{}, ExpMax{}} {
 		// A perfect source must get a large finite weight.
-		ws := s.Weights([]float64{0, 1})
+		ws := weights(s, []float64{0, 1}, nil)
 		if math.IsInf(ws[0], 0) || math.IsNaN(ws[0]) {
 			t.Fatalf("%s: perfect-source weight = %v", s.Name(), ws[0])
 		}
@@ -72,7 +79,7 @@ func TestZeroLossGuards(t *testing.T) {
 			t.Fatalf("%s: perfect source should outrank lossy one: %v", s.Name(), ws)
 		}
 		// All-zero losses: uniform positive weights.
-		ws = s.Weights([]float64{0, 0, 0})
+		ws = weights(s, []float64{0, 0, 0}, nil)
 		for _, w := range ws {
 			if w != 1 {
 				t.Fatalf("%s: all-zero weights = %v, want all 1", s.Name(), ws)
@@ -83,7 +90,7 @@ func TestZeroLossGuards(t *testing.T) {
 
 func TestSchemesNonNegativeFinite(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	schemes := []Scheme{ExpSum{}, ExpMax{}, BestSource{}, TopJ{J: 2}}
+	schemes := []Scheme{ExpSum{}, ExpMax{}, BestSource{}, TopJ{J: 2}, CATD{}}
 	for trial := 0; trial < 300; trial++ {
 		n := 1 + rng.Intn(10)
 		losses := make([]float64, n)
@@ -95,10 +102,12 @@ func TestSchemesNonNegativeFinite(t *testing.T) {
 			}
 		}
 		for _, s := range schemes {
-			ws := s.Weights(losses)
-			if len(ws) != n {
-				t.Fatalf("%s: wrong length", s.Name())
+			// Stale weights in the destination must not leak through.
+			ws := make([]float64, n)
+			for i := range ws {
+				ws[i] = math.NaN()
 			}
+			s.Weights(ws, losses, nil)
 			for _, w := range ws {
 				if w < 0 || math.IsInf(w, 0) || math.IsNaN(w) {
 					t.Fatalf("%s: bad weight %v for losses %v", s.Name(), w, losses)
@@ -109,17 +118,17 @@ func TestSchemesNonNegativeFinite(t *testing.T) {
 }
 
 func TestBestSource(t *testing.T) {
-	ws := BestSource{}.Weights([]float64{3, 1, 2})
+	ws := weights(BestSource{}, []float64{3, 1, 2}, nil)
 	if ws[1] != 1 || ws[0] != 0 || ws[2] != 0 {
 		t.Fatalf("BestSource weights = %v", ws)
 	}
-	if ws := (BestSource{}).Weights(nil); len(ws) != 0 {
+	if ws := weights(BestSource{}, nil, nil); len(ws) != 0 {
 		t.Fatal("empty input")
 	}
 }
 
 func TestTopJ(t *testing.T) {
-	ws := TopJ{J: 2}.Weights([]float64{3, 1, 2, 9})
+	ws := weights(TopJ{J: 2}, []float64{3, 1, 2, 9}, nil)
 	want := []float64{0, 1, 1, 0}
 	for i := range want {
 		if ws[i] != want[i] {
@@ -127,11 +136,11 @@ func TestTopJ(t *testing.T) {
 		}
 	}
 	// J clamped to [1, K].
-	ws = TopJ{J: 0}.Weights([]float64{5, 1})
+	ws = weights(TopJ{J: 0}, []float64{5, 1}, nil)
 	if ws[0] != 0 || ws[1] != 1 {
 		t.Fatalf("TopJ{0} = %v, want single best", ws)
 	}
-	ws = TopJ{J: 99}.Weights([]float64{5, 1})
+	ws = weights(TopJ{J: 99}, []float64{5, 1}, nil)
 	if ws[0] != 1 || ws[1] != 1 {
 		t.Fatalf("TopJ{99} = %v, want all selected", ws)
 	}
@@ -152,7 +161,7 @@ func TestMonotoneQuick(t *testing.T) {
 			for i, r := range raw {
 				losses[i] = float64(r) / 16
 			}
-			ws := s.Weights(losses)
+			ws := weights(s, losses, nil)
 			for i := range losses {
 				for j := range losses {
 					if losses[i] < losses[j] && ws[i] < ws[j]-1e-12 {
@@ -174,50 +183,20 @@ func TestNames(t *testing.T) {
 	}
 }
 
-// TestWeightsIntoBitIdentity: the in-place schemes must write exactly
-// the bits their allocating Weights return, whatever garbage the
-// destination held.
-func TestWeightsIntoBitIdentity(t *testing.T) {
-	schemes := []InPlaceScheme{ExpMax{}, ExpSum{}}
-	rng := rand.New(rand.NewSource(3))
-	for _, s := range schemes {
-		for trial := 0; trial < 500; trial++ {
-			k := 1 + rng.Intn(12)
-			losses := make([]float64, k)
-			for i := range losses {
-				losses[i] = math.Round(rng.Float64()*16) / 4
-			}
-			if trial%6 == 0 {
-				for i := range losses {
-					losses[i] = 0 // all-agree path: uniform weights
-				}
-			}
-			want := s.Weights(losses)
-			dst := make([]float64, k)
-			for i := range dst {
-				dst[i] = math.NaN()
-			}
-			s.WeightsInto(dst, losses)
-			for i := range want {
-				if math.Float64bits(want[i]) != math.Float64bits(dst[i]) {
-					t.Fatalf("%s trial %d: dst[%d] = %v, want %v (losses=%v)", s.Name(), trial, i, dst[i], want[i], losses)
-				}
-			}
-		}
-	}
-}
-
-// TestWeightsIntoAllocFree pins the zero-allocation contract of the
-// in-place path.
-func TestWeightsIntoAllocFree(t *testing.T) {
+// TestWeightsAllocFree pins the zero-allocation contract of every
+// built-in scheme, with and without counts.
+func TestWeightsAllocFree(t *testing.T) {
 	losses := []float64{0.5, 1.25, 0.75, 2, 0.1, 0.9}
+	counts := []int{3, 40, 7, 1, 12, 9}
 	dst := make([]float64, len(losses))
-	for _, s := range []InPlaceScheme{ExpMax{}, ExpSum{}} {
-		allocs := testing.AllocsPerRun(100, func() {
-			s.WeightsInto(dst, losses)
-		})
-		if allocs != 0 {
-			t.Fatalf("%s.WeightsInto allocates %.0f objects per call, want 0", s.Name(), allocs)
+	for _, s := range []Scheme{ExpMax{}, ExpSum{}, BestSource{}, TopJ{J: 2}, CATD{}} {
+		for _, c := range [][]int{nil, counts} {
+			allocs := testing.AllocsPerRun(100, func() {
+				s.Weights(dst, losses, c)
+			})
+			if allocs != 0 {
+				t.Fatalf("%s.Weights (counts %v) allocates %.0f objects per call, want 0", s.Name(), c, allocs)
+			}
 		}
 	}
 }

@@ -51,7 +51,8 @@ type Config struct {
 	FsyncInterval time.Duration
 	// SnapshotEvery is the checkpoint cadence: a dataset writes a
 	// snapshot (and retires covered WAL segments) every N ingested
-	// batches (default 128). See DataDir.
+	// batches. Values ≤ 0 select the default, 128; checkpointing cannot
+	// be turned off. See DataDir.
 	SnapshotEvery int
 	// StageLogEvery samples the per-request stage log: every Nth
 	// successful resolve's stage breakdown is handed to StageLog

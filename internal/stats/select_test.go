@@ -8,10 +8,15 @@ import (
 	"testing/quick"
 )
 
-// TestWeightedMedianFastMatchesReference is the central correctness check:
+// weightedMedianBuf is WeightedMedianBuf with fresh, zeroed scratch.
+func weightedMedianBuf(xs, ws []float64) float64 {
+	return WeightedMedianBuf(xs, ws, make([]float64, len(xs)), make([]float64, len(xs)))
+}
+
+// TestWeightedMedianBufMatchesReference is the central correctness check:
 // quickselect must agree with the sort-based reference on every input,
 // including ties, zero weights, and sorted/reversed orders.
-func TestWeightedMedianFastMatchesReference(t *testing.T) {
+func TestWeightedMedianBufMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 3000; trial++ {
 		n := 1 + rng.Intn(30)
@@ -31,49 +36,49 @@ func TestWeightedMedianFastMatchesReference(t *testing.T) {
 			sort.Sort(sort.Reverse(sort.Float64Slice(xs)))
 		}
 		want := WeightedMedian(xs, ws)
-		got := WeightedMedianFast(xs, ws)
+		got := weightedMedianBuf(xs, ws)
 		if got != want {
-			t.Fatalf("trial %d: fast=%v want=%v xs=%v ws=%v", trial, got, want, xs, ws)
+			t.Fatalf("trial %d: quickselect=%v want=%v xs=%v ws=%v", trial, got, want, xs, ws)
 		}
 	}
 }
 
-func TestWeightedMedianFastDoesNotMutate(t *testing.T) {
+func TestWeightedMedianBufDoesNotMutate(t *testing.T) {
 	xs := []float64{5, 1, 3, 2, 4}
 	ws := []float64{1, 2, 3, 4, 5}
-	WeightedMedianFast(xs, ws)
+	weightedMedianBuf(xs, ws)
 	if xs[0] != 5 || ws[0] != 1 || xs[4] != 4 || ws[4] != 5 {
 		t.Fatalf("inputs mutated: %v %v", xs, ws)
 	}
 }
 
-func TestWeightedMedianFastEdgeCases(t *testing.T) {
-	if got := WeightedMedianFast(nil, nil); got != 0 {
+func TestWeightedMedianBufEdgeCases(t *testing.T) {
+	if got := weightedMedianBuf(nil, nil); got != 0 {
 		t.Fatalf("empty = %v", got)
 	}
-	if got := WeightedMedianFast([]float64{7}, []float64{2}); got != 7 {
+	if got := weightedMedianBuf([]float64{7}, []float64{2}); got != 7 {
 		t.Fatalf("single = %v", got)
 	}
-	if got := WeightedMedianFast([]float64{1, 2, 3}, []float64{0, 0, 0}); got != 2 {
+	if got := weightedMedianBuf([]float64{1, 2, 3}, []float64{0, 0, 0}); got != 2 {
 		t.Fatalf("all-zero weights = %v", got)
 	}
 	// All values identical.
-	if got := WeightedMedianFast([]float64{4, 4, 4, 4}, []float64{1, 2, 3, 4}); got != 4 {
+	if got := weightedMedianBuf([]float64{4, 4, 4, 4}, []float64{1, 2, 3, 4}); got != 4 {
 		t.Fatalf("constant = %v", got)
 	}
 }
 
-func TestWeightedMedianFastPanicsOnMismatch(t *testing.T) {
+func TestWeightedMedianBufPanicsOnMismatch(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	WeightedMedianFast([]float64{1}, []float64{1, 2})
+	weightedMedianBuf([]float64{1}, []float64{1, 2})
 }
 
-// TestWeightedMedianFastQuick re-verifies the Eq(16) property directly.
-func TestWeightedMedianFastQuick(t *testing.T) {
+// TestWeightedMedianBufQuick re-verifies the Eq(16) property directly.
+func TestWeightedMedianBufQuick(t *testing.T) {
 	f := func(raw []uint8) bool {
 		if len(raw) == 0 {
 			return true
@@ -89,7 +94,7 @@ func TestWeightedMedianFastQuick(t *testing.T) {
 			ws[i] = float64(r%5) + 0.25
 			total += ws[i]
 		}
-		m := WeightedMedianFast(xs, ws)
+		m := weightedMedianBuf(xs, ws)
 		var below, above float64
 		for i := range xs {
 			if xs[i] < m {
@@ -110,14 +115,6 @@ func BenchmarkWeightedMedianSort(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		WeightedMedian(xs, ws)
-	}
-}
-
-func BenchmarkWeightedMedianFast(b *testing.B) {
-	xs, ws := benchMedianData(64)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		WeightedMedianFast(xs, ws)
 	}
 }
 
@@ -160,12 +157,14 @@ func tieDraw(rng *rand.Rand, maxN int, kind string) (xs, ws []float64) {
 	return xs, ws
 }
 
-// TestWeightedMedianBufBitIdentity: the scratch-buffer variant must
-// return exactly the bits WeightedMedianFast returns — including on the
-// coarse duplicate-heavy inputs that trigger the numerical-tie fallback,
-// the thirds-weighted draws that defeat every quickselect window, and
-// zero total weights — whatever its scratch holds, and must not modify
-// its inputs.
+// TestWeightedMedianBufBitIdentity: whatever its scratch holds,
+// WeightedMedianBuf must return exactly the bits it returns with clean
+// scratch, and must not modify its inputs — including on the coarse
+// duplicate-heavy inputs that trigger the numerical-tie fallback, the
+// thirds-weighted draws that defeat every quickselect window, and zero
+// total weights. The reference is WeightedMedianBuf itself: the
+// sort-based WeightedMedian may pick another tied candidate, or the
+// other signed zero, on these draws.
 func TestWeightedMedianBufBitIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, kind := range []string{"coarse", "thirds", "zero"} {
@@ -174,7 +173,7 @@ func TestWeightedMedianBufBitIdentity(t *testing.T) {
 			n := len(xs)
 			origX := append([]float64(nil), xs...)
 			origW := append([]float64(nil), ws...)
-			want := WeightedMedianFast(xs, ws)
+			want := weightedMedianBuf(xs, ws)
 			vbuf := make([]float64, n)
 			wbuf := make([]float64, n)
 			for i := range vbuf {
@@ -182,7 +181,7 @@ func TestWeightedMedianBufBitIdentity(t *testing.T) {
 			}
 			got := WeightedMedianBuf(xs, ws, vbuf, wbuf)
 			if math.Float64bits(want) != math.Float64bits(got) {
-				t.Fatalf("%s trial %d: Buf %v, Fast %v (xs=%v ws=%v)", kind, trial, got, want, xs, ws)
+				t.Fatalf("%s trial %d: NaN scratch %v, clean scratch %v (xs=%v ws=%v)", kind, trial, got, want, xs, ws)
 			}
 			for i := range xs {
 				if math.Float64bits(xs[i]) != math.Float64bits(origX[i]) || ws[i] != origW[i] {

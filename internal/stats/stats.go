@@ -296,17 +296,19 @@ func Clamp(x, lo, hi float64) float64 {
 
 // MAD returns the median absolute deviation from the median — the
 // standard robust scale estimate. Multiply by 1.4826 (1/Φ⁻¹(¾)) to make
-// it consistent with the standard deviation under normality.
-func MAD(xs []float64) float64 {
+// it consistent with the standard deviation under normality. a and b
+// (each of length ≥ len(xs)) are caller-owned scratch, so MAD allocates
+// nothing; xs is not modified.
+func MAD(xs, a, b []float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	m := Median(xs)
-	devs := make([]float64, len(xs))
+	m := medianBuf(xs, a)
+	devs := a[:len(xs)]
 	for i, x := range xs {
 		devs[i] = math.Abs(x - m)
 	}
-	return Median(devs)
+	return medianBuf(devs, b)
 }
 
 // Spearman returns the Spearman rank correlation between xs and ys —

@@ -299,17 +299,26 @@ func TestWeightedMedianMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// mad is MAD with scratch of its own.
+func mad(xs []float64) float64 {
+	return MAD(xs, make([]float64, len(xs)), make([]float64, len(xs)))
+}
+
 func TestMAD(t *testing.T) {
-	if got := MAD(nil); got != 0 {
+	if got := mad(nil); got != 0 {
 		t.Fatalf("MAD(nil) = %v", got)
 	}
 	// Symmetric data: MAD = 1 for {1,2,3,4,5} (median 3, devs 2,1,0,1,2).
-	if got := MAD([]float64{1, 2, 3, 4, 5}); got != 1 {
+	xs := []float64{5, 1, 4, 2, 3}
+	if got := mad(xs); got != 1 {
 		t.Fatalf("MAD = %v, want 1", got)
 	}
+	if xs[0] != 5 || xs[4] != 3 {
+		t.Fatalf("MAD modified its input: %v", xs)
+	}
 	// Robustness: one huge outlier barely moves it.
-	clean := MAD([]float64{10, 10.5, 11, 9.5, 10.2})
-	dirty := MAD([]float64{10, 10.5, 11, 9.5, 10.2, 1e6})
+	clean := mad([]float64{10, 10.5, 11, 9.5, 10.2})
+	dirty := mad([]float64{10, 10.5, 11, 9.5, 10.2, 1e6})
 	if dirty > clean*3+1 {
 		t.Fatalf("MAD not robust: %v vs %v", dirty, clean)
 	}

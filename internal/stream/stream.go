@@ -186,7 +186,8 @@ func (p *Processor) Process(chunk *data.Dataset) *data.Table {
 	if scheme == nil {
 		scheme = reg.ExpMax{}
 	}
-	p.weights = scheme.Weights(p.accum)
+	// The decayed accumulation tracks no observation counts.
+	scheme.Weights(p.weights, p.accum, nil)
 	p.history = append(p.history, append([]float64(nil), p.weights...))
 	p.n++
 	p.cfg.Metrics.record(chunk, len(p.weights))

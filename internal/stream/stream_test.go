@@ -235,7 +235,8 @@ func TestDecayZeroUsesOnlyLatestChunk(t *testing.T) {
 		// with the same incoming weights, and apply the scheme.
 		truths := core.AggregateTruths(ch.Data, weightsBefore, core.Config{})
 		losses := core.SourceLosses(ch.Data, truths, weightsBefore, core.Config{})
-		want := (reg.ExpMax{}).Weights(losses)
+		want := make([]float64, len(losses))
+		reg.ExpMax{}.Weights(want, losses, nil)
 		got := p.Weights()
 		for k := range want {
 			if math.Abs(got[k]-want[k]) > 1e-12 {

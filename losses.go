@@ -8,15 +8,23 @@ import (
 // ContinuousLoss measures deviation on real-valued properties and defines
 // the corresponding weighted aggregation rule (Section 2.4.2 of the
 // paper). Implementations beyond the built-ins can be supplied — any
-// Bregman divergence yields a convergent configuration.
+// Bregman divergence yields a convergent configuration. Truth receives
+// scratch buffers with arbitrary contents, and it must treat its values
+// and weights as read-only: the solver passes its claim columns
+// uncopied.
 type ContinuousLoss = loss.Continuous
 
 // CategoricalLoss measures deviation on discrete-valued properties and
 // defines the corresponding weighted aggregation rule (Section 2.4.1).
+// Truth receives a scratch vote buffer and, when NeedsDist reports true,
+// the entry's distribution storage; it must treat its codes and weights
+// as read-only.
 type CategoricalLoss = loss.Categorical
 
 // WeightScheme maps per-source aggregated losses to source weights — the
-// regularization choice δ(W) of Section 2.3.
+// regularization choice δ(W) of Section 2.3. Weights writes into a
+// destination buffer, must treat losses and counts as read-only, and
+// receives nil counts from callers that track none (incremental CRH).
 type WeightScheme = reg.Scheme
 
 // AbsoluteLoss returns the normalized absolute-deviation loss (Eq 15),

@@ -22,10 +22,14 @@
 #                      per-stage latency histograms (docs/LOAD.md)
 #   8. allocation pins the AllocsPerRun pins on the resolve encode /
 #                      cached-bytes serve paths, the solver's
-#                      zero-allocation-per-iteration contract and the
-#                      weighted median's (fallbacks included), the
-#                      solver's claim scorings per run (I+1 for I
-#                      iterations), plus the
+#                      zero-allocation-per-iteration contract (default
+#                      config, every built-in scheme, the Huber and
+#                      Bregman losses), the weighted median's (fallbacks
+#                      included) and every weight scheme's, the losses'
+#                      scratch contract (results independent of scratch
+#                      contents, inputs unmodified: the solver passes its
+#                      columns uncopied), the solver's claim scorings
+#                      per run (I+1 for I iterations), plus the
 #                      memory pins (a finished multi-worker run keeps no
 #                      Prepared reachable, nor does a pool offer no
 #                      worker took; a built Dataset owns its
@@ -38,9 +42,10 @@
 #                      make check)
 #   9. perfbench       vet and unit tests of the benchmark program, its
 #                      own Go module, which ./... above does not reach
-#  10. coverage floor  go test -coverprofile over the solver and data
-#                      layers; fails if combined statement coverage of
-#                      internal/core + internal/data falls below
+#  10. coverage floor  go test -coverprofile over the solver, data,
+#                      loss, scheme and statistics layers; fails if
+#                      combined statement coverage of
+#                      internal/{core,data,loss,reg,stats} falls below
 #                      the floor, and archives the profile
 #                      under results/coverage.out
 #  11. lint self-check every analyzer crhlint -list reports must have a
@@ -76,24 +81,26 @@ make fuzz FUZZTIME=5s
 echo "==> loadcheck (serve-path smoke)"
 make loadcheck
 
-echo "==> allocation and memory pins (encode, solver iterations and passes, weighted median, run retention, dictionary copies, incremental Build)"
+echo "==> allocation and memory pins (encode, solver iterations and passes, weighted median, weight schemes, loss scratch contract, run retention, dictionary copies, incremental Build)"
 go test -run 'TestEncodeAllocs' -count=1 ./internal/server/
 go test -run 'TestSolverIterationAllocFree|TestSolverRunReusesPrepared|TestParallelRunReleasesPrepared|TestPoolReleasesUntakenOffers|TestRunScoringPasses' -count=1 ./internal/core/
 go test -run 'TestWeightedMedianBufAllocFree' -count=1 ./internal/stats/
+go test -run 'TestWeightsAllocFree' -count=1 ./internal/reg/
+go test -run 'TestContinuousKernelBitIdentity|TestCategoricalKernelBitIdentity' -count=1 ./internal/loss/
 go test -run 'TestBuildCopiesCategoryDictionaries|TestIncrementalBuildAllocs' -count=1 ./internal/data/
 
 echo "==> perfbench (vet + unit tests)"
 go -C perfbench vet ./... && go -C perfbench test ./...
 
-echo "==> coverage floor (solver + data layers)"
+echo "==> coverage floor (solver, data, loss, scheme and statistics layers)"
 mkdir -p results
 go test -count=1 -coverprofile=results/coverage.out \
-	-coverpkg=./internal/core/...,./internal/data/... \
-	./internal/core/... ./internal/data/... > /dev/null
+	-coverpkg=./internal/core/...,./internal/data/...,./internal/loss/...,./internal/reg/...,./internal/stats/... \
+	./internal/core/... ./internal/data/... ./internal/loss/... ./internal/reg/... ./internal/stats/... > /dev/null
 total=$(go tool cover -func=results/coverage.out | awk '/^total:/ {sub(/%/, "", $3); print $3}')
 floor=85.0
 if awk -v t="$total" -v f="$floor" 'BEGIN { exit !(t < f) }'; then
-	echo "coverage floor: ${total}% < ${floor}% over internal/{core,data}" >&2
+	echo "coverage floor: ${total}% < ${floor}% over internal/{core,data,loss,reg,stats}" >&2
 	exit 1
 fi
 echo "coverage floor: ${total}% >= ${floor}% (profile archived at results/coverage.out)"
