@@ -203,25 +203,6 @@ func Run(d *data.Dataset, cfg Config) (*Result, error) {
 	return Prepare(d).Run(cfg)
 }
 
-// AggregateTruths performs a single truth-update pass (Step II) under the
-// given fixed source weights and returns the resulting truth table. This is
-// the building block the incremental (I-CRH) and MapReduce variants reuse:
-// both compute truths for a batch from externally maintained weights.
-func AggregateTruths(d *data.Dataset, weights []float64, cfg Config) *data.Table {
-	return Prepare(d).AggregateTruths(weights, cfg)
-}
-
-// SourceLosses computes each source's aggregated, normalized loss against
-// the given truths — the quantity Step I feeds to the weight-assignment
-// scheme. Exported for the incremental and MapReduce variants, which
-// accumulate these losses across chunks instead of iterating in place.
-//
-// For probabilistic categorical losses the per-entry distributions are
-// recomputed from the supplied weights before deviations are taken.
-func SourceLosses(d *data.Dataset, truths *data.Table, weights []float64, cfg Config) []float64 {
-	return Prepare(d).SourceLosses(truths, weights, cfg)
-}
-
 // CombineLosses collapses per-(source, property) deviation sums and
 // observation counts, flattened to [k*M+m] over M properties, into the
 // per-source losses Step I feeds to the weight scheme, with the count

@@ -262,29 +262,28 @@ func TestEquivalenceSharedPool(t *testing.T) {
 	}
 }
 
-// TestEquivalenceHelpers: the one-pass helpers the streaming and
-// MapReduce variants reuse obey the same contract.
+// TestEquivalenceHelpers: Step, the one-sweep helper the streaming
+// variant reuses, obeys the same contract.
 func TestEquivalenceHelpers(t *testing.T) {
 	d := synthesize(equivCase{"mixed", 2, 2, 8, 300, 0.3}, 17)
 	weights := make([]float64, d.NumSources())
 	for k := range weights {
 		weights[k] = 0.25 + float64(k)*0.5
 	}
-	refT := AggregateTruths(d, weights, Config{Workers: 1})
-	refL := SourceLosses(d, refT, weights, Config{Workers: 1})
+	p := Prepare(d)
+	refT, refL := p.Step(weights, Config{Workers: 1})
 	for _, w := range workerGrid() {
-		gotT := AggregateTruths(d, weights, Config{Workers: w})
+		gotT, gotL := p.Step(weights, Config{Workers: w})
 		for e := 0; e < d.NumEntries(); e++ {
 			rv, rok := refT.Get(e)
 			gv, gok := gotT.Get(e)
 			if rok != gok || rv.C != gv.C || !bitsEq(rv.F, gv.F) {
-				t.Fatalf("workers=%d: AggregateTruths entry %d differs", w, e)
+				t.Fatalf("workers=%d: Step truth %d differs", w, e)
 			}
 		}
-		gotL := SourceLosses(d, gotT, weights, Config{Workers: w})
 		for k := range refL {
 			if !bitsEq(refL[k], gotL[k]) {
-				t.Fatalf("workers=%d: SourceLosses[%d] differs: %v vs %v", w, k, refL[k], gotL[k])
+				t.Fatalf("workers=%d: Step loss %d differs: %v vs %v", w, k, refL[k], gotL[k])
 			}
 		}
 	}

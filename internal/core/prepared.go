@@ -13,11 +13,10 @@ import (
 // every run needs but no run mutates, beside the dataset whose claim
 // columns the solver reads. Preparing costs one pass over the continuous
 // claims; once built, a Prepared is immutable and safe for any number of
-// concurrent Run / AggregateTruths / SourceLosses calls. Callers that
-// solve the same dataset repeatedly — the resolve server's snapshots,
-// the streaming processor's warm chunks, benchmark sweeps — should
-// Prepare once and reuse it; the package-level Run prepares on every
-// call.
+// concurrent Run and Step calls. Callers that solve the same dataset
+// repeatedly — the resolve server's snapshots, benchmark sweeps —
+// should Prepare once and reuse it; the package-level Run prepares on
+// every call.
 type Prepared struct {
 	d *data.Dataset
 	// props caches the property descriptors in index order so hot loops
@@ -76,14 +75,14 @@ func (p *Prepared) Run(cfg Config) (*Result, error) {
 	// recommends (Section 2.5, "Initialization"). Either way the pass
 	// scores the initial truths, so iteration 1's weight update is the
 	// scheme alone. Seeded truths have no truth pass to fold the scoring
-	// into and get a scoring pass of their own.
+	// into and get a scoring-only pass of their own.
 	if cfg.InitTruths != nil {
 		s.truths = cfg.InitTruths.Clone()
 		s.pinKnown()
-		s.sweep(passScore)
+		s.sweep(0)
 	} else {
 		s.setUniformWeights()
-		s.sweep(passResolve | passScore)
+		s.sweep(passResolve)
 	}
 
 	// The per-iteration appends stay within these capacities, so the
@@ -95,7 +94,7 @@ func (p *Prepared) Run(cfg Config) (*Result, error) {
 	// Each iteration walks the claims once: Step II's pass also scores
 	// the truths it chooses, leaving the losses that the objective
 	// weighs and the next iteration's Step I turns into weights.
-	work := passResolve | passScore
+	work := passResolve
 	if cfg.Trace != nil {
 		work |= passCount
 	}
@@ -151,36 +150,21 @@ func (p *Prepared) Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// AggregateTruths performs a single truth-update pass (Step II) under
-// fixed source weights. See the package-level AggregateTruths; this
-// variant reuses the prepared statistics, which is what makes the
-// streaming processor's warm path cheap.
-func (p *Prepared) AggregateTruths(weights []float64, cfg Config) *data.Table {
+// Step runs one truth update (Step II) under fixed source weights and
+// scores the truths it chooses, in one sweep over the claims: each
+// entry is pinned from cfg.KnownTruths (a pinned entry has no soft
+// distribution) or set to the argmin of its claims under weights, and
+// its claims are charged their deviations right after. It returns the
+// truths and each source's aggregated, normalized loss against them —
+// the quantity Step I feeds the weight scheme. This is the sweep each of
+// Run's iterations makes, so Step(res.Weights, cfg) reproduces a run's
+// final truths and objective. I-CRH (Algorithm 2) scans each chunk with
+// it once; PropertyGroups is ignored (one weight per source).
+func (p *Prepared) Step(weights []float64, cfg Config) (*data.Table, []float64) {
 	cfg = cfg.withDefaults()
-	cfg.PropertyGroups = nil // single-group helper
+	cfg.PropertyGroups = nil
 	s := newSolver(p, cfg)
 	copy(s.weights[0], weights)
 	s.sweep(passResolve)
-	return s.truths
-}
-
-// SourceLosses computes each source's aggregated, normalized loss
-// against the given truths. See the package-level SourceLosses; this
-// variant reuses the prepared statistics.
-func (p *Prepared) SourceLosses(truths *data.Table, weights []float64, cfg Config) []float64 {
-	cfg = cfg.withDefaults()
-	cfg.PropertyGroups = nil // single-group helper
-	s := newSolver(p, cfg)
-	copy(s.weights[0], weights)
-	s.truths = truths
-	// Rebuild distributions for probabilistic categorical losses so
-	// Deviation sees them; the argmin itself is discarded, and hard
-	// losses leave nil distributions.
-	for e := 0; e < p.d.NumEntries(); e++ {
-		if p.props[p.d.EntryProp(e)].Type == data.Categorical && truths.Has(e) {
-			s.resolveEntry(s.seq, e)
-		}
-	}
-	s.sweep(passScore)
-	return s.groupLosses[0]
+	return s.truths, s.groupLosses[0]
 }

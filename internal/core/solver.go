@@ -52,11 +52,10 @@ type solver struct {
 	distOff   []int
 	distRow   int
 
-	// Step I state, allocated on first use (truth-only passes never
-	// need it): per-shard partial loss matrices and their merged totals,
-	// flattened to [k*M+m]. partSum/partCnt hold nsh consecutive K·M
-	// regions so each shard accumulates into its own slot and the merge
-	// can walk them in ascending shard order.
+	// Step I state: per-shard partial loss matrices and their merged
+	// totals, flattened to [k*M+m]. partSum/partCnt hold nsh consecutive
+	// K·M regions so each shard accumulates into its own slot and the
+	// merge can walk them in ascending shard order.
 	nsh     int
 	partSum []float64
 	partCnt []int32
@@ -64,7 +63,7 @@ type solver struct {
 	cntKM   []int32
 	avgBuf  []float64
 	// groupLosses/groupCounts are the per-group losses and observation
-	// counts of the truths the last scoring pass charged, reused across
+	// counts of the truths the last sweep charged, reused across
 	// iterations.
 	groupLosses [][]float64
 	groupCounts [][]int
@@ -111,6 +110,7 @@ func newSolver(p *Prepared, cfg Config) *solver {
 	c := p.d
 	K, M := c.NumSources(), c.NumProps()
 	nEntries := c.NumEntries()
+	nsh := numShards(nEntries)
 	s := &solver{
 		prep:    p,
 		d:       c,
@@ -120,7 +120,12 @@ func newSolver(p *Prepared, cfg Config) *solver {
 		truths:  data.NewTableFor(p.d),
 		groupOf: make([]int, M),
 		dists:   make([][]float64, nEntries),
-		nsh:     numShards(nEntries),
+		nsh:     nsh,
+		partSum: make([]float64, nsh*K*M),
+		partCnt: make([]int32, nsh*K*M),
+		sumKM:   make([]float64, K*M),
+		cntKM:   make([]int32, K*M),
+		avgBuf:  make([]float64, K*M),
 	}
 	if s.workers == 0 {
 		s.workers = runtime.GOMAXPROCS(0)
@@ -160,20 +165,6 @@ func newSolver(p *Prepared, cfg Config) *solver {
 	}
 	s.seq = s.newScratch()
 	return s
-}
-
-// ensureLossBufs allocates the Step I accumulation buffers on first use;
-// truth-only passes (AggregateTruths) never pay for them.
-func (s *solver) ensureLossBufs() {
-	if s.sumKM != nil {
-		return
-	}
-	KM := s.d.NumSources() * s.d.NumProps()
-	s.partSum = make([]float64, s.nsh*KM)
-	s.partCnt = make([]int32, s.nsh*KM)
-	s.sumKM = make([]float64, KM)
-	s.cntKM = make([]int32, KM)
-	s.avgBuf = make([]float64, KM)
 }
 
 // setUniformWeights resets every (group, source) weight to 1.
@@ -275,39 +266,33 @@ func (s *solver) gatherWeights(sc *scratch, e, m int) []float64 {
 	return ws
 }
 
-// pass selects the work one sweep over the entries does.
+// pass selects the work one sweep over the entries does. Every sweep
+// scores: it charges each claim its deviation from its entry's truth
+// into the shard's partial loss slot — Step I's losses.
 type pass uint8
 
 const (
-	// passResolve runs Step II: each entry's truth is pinned from
-	// KnownTruths or set to the argmin of its claims under the current
-	// weights.
-	passResolve pass = 1 << iota
-	// passScore charges every claim its deviation from its entry's
-	// truth into the shard's partial loss slot — Step I's losses. In a
-	// resolving pass an entry is scored right after its new truth is
-	// chosen, which is what a separate loss walk would charge: an
+	// passResolve runs Step II before scoring: each entry's truth is
+	// pinned from KnownTruths or set to the argmin of its claims under
+	// the current weights. An entry is scored right after its new truth
+	// is chosen, which is what a separate loss walk would charge: an
 	// entry's deviations depend only on its own claims and its truth.
-	passScore
+	passResolve pass = 1 << iota
 	// passCount counts the entries whose truth moved (traced runs
 	// only).
 	passCount
 )
 
 // sweep runs one pass over every entry, parallelized across shards
-// (each entry's truth and deviations are independent). A scoring pass
-// leaves the losses of the truths it charged in s.groupLosses and
-// s.groupCounts; truth-only passes (AggregateTruths) never allocate the
-// loss buffers. With passCount it returns the number of entries whose
-// truth estimate moved; otherwise it returns 0 without comparing,
-// keeping the untraced path free of the extra table reads.
+// (each entry's truth and deviations are independent), and leaves the
+// losses of the truths it charged in s.groupLosses and s.groupCounts.
+// With passCount it returns the number of entries whose truth estimate
+// moved; otherwise it returns 0 without comparing, keeping the untraced
+// path free of the extra table reads.
 func (s *solver) sweep(work pass) int {
 	var perShard []int
 	if work&passCount != 0 {
 		perShard = make([]int, s.nsh)
-	}
-	if work&passScore != 0 {
-		s.ensureLossBufs()
 	}
 	// The sequential path dispatches shards directly instead of through
 	// forShards: a closure argument would escape to the heap and cost
@@ -324,9 +309,7 @@ func (s *solver) sweep(work pass) int {
 			s.sweepShard(sc, sh, lo, hi, work, perShard)
 		})
 	}
-	if work&passScore != 0 {
-		s.mergeLosses()
-	}
+	s.mergeLosses()
 	var changes int
 	for _, n := range perShard {
 		changes += n
@@ -334,22 +317,18 @@ func (s *solver) sweep(work pass) int {
 	return changes
 }
 
-// sweepShard runs one pass over entries [lo, hi) — one shard. A scoring
-// pass first zeroes the shard's partial loss slot, then charges entries
-// in ascending order, each claim in the dataset's claim order.
+// sweepShard runs one pass over entries [lo, hi) — one shard. It first
+// zeroes the shard's partial loss slot, then charges entries in
+// ascending order, each claim in the dataset's claim order.
 //
 //crh:hotpath
 func (s *solver) sweepShard(sc *scratch, sh, lo, hi int, work pass, perShard []int) {
 	c := s.d
-	var lsum []float64
-	var lcnt []int32
-	if work&passScore != 0 {
-		KM := c.NumSources() * c.NumProps()
-		lsum = s.partSum[sh*KM : (sh+1)*KM]
-		lcnt = s.partCnt[sh*KM : (sh+1)*KM]
-		clear(lsum)
-		clear(lcnt)
-	}
+	KM := c.NumSources() * c.NumProps()
+	lsum := s.partSum[sh*KM : (sh+1)*KM]
+	lcnt := s.partCnt[sh*KM : (sh+1)*KM]
+	clear(lsum)
+	clear(lcnt)
 	for e := lo; e < hi; e++ {
 		if work&passResolve != 0 {
 			if s.cfg.KnownTruths != nil && s.cfg.KnownTruths.Has(e) {
@@ -366,10 +345,8 @@ func (s *solver) sweepShard(sc *scratch, sh, lo, hi int, work pass, perShard []i
 				s.truths.Set(e, nv)
 			}
 		}
-		if work&passScore != 0 {
-			if truth, ok := s.truths.Get(e); ok {
-				s.scoreEntry(lsum, lcnt, e, truth)
-			}
+		if truth, ok := s.truths.Get(e); ok {
+			s.scoreEntry(lsum, lcnt, e, truth)
 		}
 	}
 }
@@ -547,7 +524,7 @@ func combineLosses(dst, sum []float64, cnt []int32, M int, props []int, avg []fl
 
 // updateWeights performs Step I under the configured scheme, once per
 // property group, from the losses and observation counts the last
-// scoring pass left — those of the current truths — writing into the
+// sweep left — those of the current truths — writing into the
 // reused weight buffers.
 func (s *solver) updateWeights() {
 	for g, l := range s.groupLosses {
@@ -556,7 +533,7 @@ func (s *solver) updateWeights() {
 }
 
 // objective evaluates Σ_g Σ_k w_gk · L_gk with the normalized
-// per-source losses of the current truths, which the scoring pass that
+// per-source losses of the current truths, which the sweep that
 // chose them left behind — the quantity whose stabilization we use as
 // the convergence criterion.
 func (s *solver) objective() float64 {

@@ -8,6 +8,7 @@ import (
 
 	"github.com/crhkit/crh/internal/data"
 	"github.com/crhkit/crh/internal/loss"
+	"github.com/crhkit/crh/internal/reg"
 )
 
 // countingContinuous is the default continuous loss counting Deviation
@@ -47,7 +48,7 @@ func (c countingCategorical) Deviation(truth int, dist []float64, obs int, p *da
 // every claim exactly I+1 times — once per truth pass (the
 // initialization's included), or, with InitTruths, once in the seeded
 // truths' own scoring pass and once per iteration — at any worker
-// budget. A truth-only pass (AggregateTruths) scores nothing.
+// budget. Step scores every claim once.
 func TestRunScoringPasses(t *testing.T) {
 	d := synthesize(equivCase{"mixed", 2, 2, 8, 300, 0.3}, 46)
 	p := Prepare(d)
@@ -83,9 +84,61 @@ func TestRunScoringPasses(t *testing.T) {
 		n.Store(0)
 		cfg := losses
 		cfg.Workers = workers
-		p.AggregateTruths(seed.Weights, cfg)
-		if got := n.Load(); got != 0 {
-			t.Errorf("workers=%d: AggregateTruths scored %d deviations, want 0", workers, got)
+		p.Step(seed.Weights, cfg)
+		if got := n.Load(); got != claims {
+			t.Errorf("workers=%d: Step scored %d deviations, want %d", workers, got, claims)
+		}
+	}
+}
+
+// TestStepReproducesRun: Step is the sweep each of Run's iterations
+// makes, so under a run's final weights it returns the run's final
+// truths, and its losses weighted by those weights sum to the run's
+// last objective value — bit for bit, KnownTruths pinned as Run pins
+// them.
+func TestStepReproducesRun(t *testing.T) {
+	d := synthesize(equivCase{"mixed", 2, 2, 9, 200, 0.25}, 11)
+	known := data.NewTableFor(d)
+	for e := 0; e < d.NumEntries(); e += 17 {
+		if d.Prop(d.EntryProp(e)).Type == data.Categorical {
+			known.Set(e, data.Cat(1))
+		} else {
+			known.Set(e, data.Float(42))
+		}
+	}
+	p := Prepare(d)
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"default", Config{}},
+		{"squared-prob", Config{CategoricalLoss: loss.SquaredProb{}}},
+		{"catd", Config{Scheme: reg.CATD{}}},
+		{"known", Config{KnownTruths: known}},
+	} {
+		for _, workers := range []int{1, 4} {
+			cfg := c.cfg
+			cfg.Workers = workers
+			name := fmt.Sprintf("%s/workers=%d", c.name, workers)
+			res, err := p.Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			truths, losses := p.Step(res.Weights, cfg)
+			for e := 0; e < d.NumEntries(); e++ {
+				rv, rok := res.Truths.Get(e)
+				gv, gok := truths.Get(e)
+				if rok != gok || rv.C != gv.C || !bitsEq(rv.F, gv.F) {
+					t.Fatalf("%s: entry %d is %+v (%t), Run's is %+v (%t)", name, e, gv, gok, rv, rok)
+				}
+			}
+			var obj float64
+			for k, w := range res.Weights {
+				obj += w * losses[k]
+			}
+			if last := res.Objective[len(res.Objective)-1]; !bitsEq(obj, last) {
+				t.Errorf("%s: Σ w·loss = %v, Run's last objective %v", name, obj, last)
+			}
 		}
 	}
 }

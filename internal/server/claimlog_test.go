@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"github.com/crhkit/crh/internal/data"
+	"github.com/crhkit/crh/internal/wal"
 )
 
 // replayLog is a string-keyed claim log with a whole-log replay: every
@@ -22,7 +23,7 @@ type replayLog struct {
 	srcSet  map[string]bool
 	props   []replayProp
 	propSet map[string]bool
-	log     []obsRec
+	log     []wal.Obs
 }
 
 type replayProp struct {
@@ -62,28 +63,28 @@ func (l *replayLog) absorb(d *data.Dataset) {
 		for m := 0; m < d.NumProps(); m++ {
 			p := d.Prop(m)
 			d.ForEntry(d.Entry(i, m), func(k int, v data.Value) {
-				rec := obsRec{src: d.SourceName(k), obj: d.ObjectName(i), prop: p.Name, typ: p.Type}
+				o := wal.Obs{Source: d.SourceName(k), Object: d.ObjectName(i), Property: p.Name}
 				if p.Type == data.Categorical {
-					rec.cat = p.CatName(int(v.C))
+					o.Kind, o.Cat = wal.Categorical, p.CatName(int(v.C))
 				} else {
-					rec.f = v.F
+					o.F = v.F
 				}
 				if d.HasTimestamps() {
-					rec.ts, rec.hasTS = d.Timestamp(i), true
+					o.TS, o.HasTS = d.Timestamp(i), true
 				}
-				l.log = append(l.log, rec)
+				l.log = append(l.log, o)
 			})
 		}
 	}
 }
 
 // add appends one batch, interning its sources and properties first.
-func (l *replayLog) add(recs []obsRec) {
-	for _, rec := range recs {
-		l.internSource(rec.src)
-		l.internProp(rec.prop, rec.typ)
+func (l *replayLog) add(batch []wal.Obs) {
+	for _, o := range batch {
+		l.internSource(o.Source)
+		l.internProp(o.Property, typeOf(o.Kind))
 	}
-	l.log = append(l.log, recs...)
+	l.log = append(l.log, batch...)
 }
 
 // rebuild replays the whole log through a fresh Builder.
@@ -97,18 +98,18 @@ func (l *replayLog) rebuild() *data.Dataset {
 		propIdx[p.name] = b.MustProperty(p.name, p.typ)
 	}
 	for _, o := range l.log {
-		obj := b.Object(o.obj)
-		if o.hasTS {
-			b.SetTimestampIdx(obj, o.ts)
+		obj := b.Object(o.Object)
+		if o.HasTS {
+			b.SetTimestampIdx(obj, o.TS)
 		}
-		pid := propIdx[o.prop]
+		pid := propIdx[o.Property]
 		var v data.Value
-		if o.typ == data.Categorical {
-			v = data.Cat(b.CatValue(pid, o.cat))
+		if o.Kind == wal.Categorical {
+			v = data.Cat(b.CatValue(pid, o.Cat))
 		} else {
-			v = data.Float(o.f)
+			v = data.Float(o.F)
 		}
-		b.ObserveIdx(b.Source(o.src), obj, pid, v)
+		b.ObserveIdx(b.Source(o.Source), obj, pid, v)
 	}
 	return b.Build()
 }
@@ -187,11 +188,11 @@ func ingestSeeded(t *testing.T, n int, check func(version int64, e *entry, ref *
 		if err != nil {
 			t.Fatal(err)
 		}
-		recs, err := validateBatch(batch)
+		claims, err := validateBatch(batch)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref.add(recs)
+		ref.add(claims)
 		check(version, e, ref)
 	}
 }
@@ -224,8 +225,8 @@ func TestWALSnapshotMatchesFedRecords(t *testing.T) {
 				t.Fatalf("version %d: property %d is %+v, want %+v", version, m, s.Props[m], p)
 			}
 		}
-		if want := recsToWAL(ref.log); !reflect.DeepEqual(s.Obs, want) {
-			t.Fatalf("version %d: checkpoint observations differ from the %d records fed in", version, len(want))
+		if !reflect.DeepEqual(s.Obs, ref.log) {
+			t.Fatalf("version %d: checkpoint observations differ from the %d records fed in", version, len(ref.log))
 		}
 	})
 }

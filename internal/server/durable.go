@@ -31,42 +31,8 @@ func typeOf(k wal.Kind) data.Type {
 	return data.Continuous
 }
 
-func recsToWAL(recs []obsRec) []wal.Obs {
-	out := make([]wal.Obs, len(recs))
-	for i, r := range recs {
-		out[i] = wal.Obs{
-			Source:   r.src,
-			Object:   r.obj,
-			Property: r.prop,
-			Kind:     kindOf(r.typ),
-			F:        r.f,
-			Cat:      r.cat,
-			TS:       r.ts,
-			HasTS:    r.hasTS,
-		}
-	}
-	return out
-}
-
-func walToRecs(obs []wal.Obs) []obsRec {
-	out := make([]obsRec, len(obs))
-	for i, o := range obs {
-		out[i] = obsRec{
-			src:   o.Source,
-			obj:   o.Object,
-			prop:  o.Property,
-			typ:   typeOf(o.Kind),
-			f:     o.F,
-			cat:   o.Cat,
-			ts:    o.TS,
-			hasTS: o.HasTS,
-		}
-	}
-	return out
-}
-
 // walObs regenerates the log's claims as name-keyed WAL observations, in
-// log order: the list recsToWAL made of the records the log was fed.
+// log order: the claims the log was fed, upload and batches alike.
 func (l *claimLog) walObs() []wal.Obs {
 	b := l.b
 	out := make([]wal.Obs, b.NumRows())
@@ -101,14 +67,11 @@ func (e *entry) walSnapshot(l *claimLog, version int64) *wal.Snapshot {
 		Sources: l.sourceNames(),
 		Props:   make([]wal.Prop, l.b.NumProps()),
 		Obs:     l.walObs(),
-		GT:      make([]wal.Truth, len(e.gt)),
+		GT:      e.gt,
 	}
 	for m := range s.Props {
 		p := l.b.Prop(m)
 		s.Props[m] = wal.Prop{Name: p.Name, Kind: kindOf(p.Type)}
-	}
-	for i, g := range e.gt {
-		s.GT[i] = wal.Truth{Object: g.obj, Property: g.prop, Kind: kindOf(g.typ), F: g.f, Cat: g.cat}
 	}
 	s.Weights, s.Accum, s.Chunks = e.proc.State()
 
@@ -182,11 +145,8 @@ func (r *Registry) recoverDataset(name string) (*entry, error) {
 	for _, p := range snap.Props {
 		e.log.b.MustProperty(p.Name, typeOf(p.Kind))
 	}
-	e.log.add(walToRecs(snap.Obs))
-	e.gt = make([]gtRec, len(snap.GT))
-	for i, g := range snap.GT {
-		e.gt[i] = gtRec{obj: g.Object, prop: g.Property, typ: typeOf(g.Kind), f: g.F, cat: g.Cat}
-	}
+	e.log.add(snap.Obs)
+	e.gt = snap.GT
 	e.proc = stream.NewProcessor(len(snap.Sources), r.streamCfg)
 	e.proc.Restore(snap.Weights, snap.Accum, snap.Chunks)
 	if snap.Chunks > 0 {
@@ -207,7 +167,7 @@ func (r *Registry) recoverDataset(name string) (*entry, error) {
 			_ = dl.Close()
 			return nil, fmt.Errorf("%w: WAL batch version %d, want %d", wal.ErrCorrupt, b.Version, want)
 		}
-		e.apply(e.log, walToRecs(b.Obs), b.Version, nil)
+		e.apply(e.log, b.Obs, b.Version, nil)
 	}
 	e.dlog = dl
 	return e, nil

@@ -50,26 +50,6 @@ func (s *Snapshot) Prepared() *core.Prepared {
 	return s.prepared
 }
 
-// obsRec is one validated ingest observation, by name: the form a batch
-// takes between validation, its WAL record (recsToWAL) and its append to
-// the entry's claim log.
-type obsRec struct {
-	src, obj, prop string
-	typ            data.Type
-	f              float64
-	cat            string
-	ts             int
-	hasTS          bool
-}
-
-// gtRec is one ground-truth value, kept by name for WAL checkpoints.
-type gtRec struct {
-	obj, prop string
-	typ       data.Type
-	f         float64
-	cat       string
-}
-
 // stamp is one logged claim's timestamp, if it carried one. The builder
 // keeps only each object's latest timestamp; checkpoints need every
 // claim's own.
@@ -111,8 +91,10 @@ type entry struct {
 	// as a parameter, read from e.log by a caller that holds mu or owns
 	// a not yet published entry.
 	// crh:guardedby mu
-	log  *claimLog
-	gt   []gtRec
+	log *claimLog
+	// gt is the ground truth uploaded at create, by name, kept for WAL
+	// checkpoints; nil when none.
+	gt   []wal.Truth
 	proc *stream.Processor
 	// deleted marks an entry removed from the registry; ingest on a
 	// stale handle must not resurrect it (or its on-disk state).
@@ -243,11 +225,11 @@ func (r *Registry) Create(name string, src io.Reader) (*entry, error) {
 }
 
 // truthRecs flattens an uploaded ground truth (nil when none) by name.
-func truthRecs(d *data.Dataset, gt *data.Table) []gtRec {
+func truthRecs(d *data.Dataset, gt *data.Table) []wal.Truth {
 	if gt == nil {
 		return nil
 	}
-	var out []gtRec
+	var out []wal.Truth
 	for i := 0; i < d.NumObjects(); i++ {
 		for m := 0; m < d.NumProps(); m++ {
 			v, ok := gt.Get(d.Entry(i, m))
@@ -255,11 +237,11 @@ func truthRecs(d *data.Dataset, gt *data.Table) []gtRec {
 				continue
 			}
 			p := d.Prop(m)
-			g := gtRec{obj: d.ObjectName(i), prop: p.Name, typ: p.Type}
+			g := wal.Truth{Object: d.ObjectName(i), Property: p.Name, Kind: kindOf(p.Type)}
 			if p.Type == data.Categorical {
-				g.cat = p.CatName(int(v.C))
+				g.Cat = p.CatName(int(v.C))
 			} else {
-				g.f = v.F
+				g.F = v.F
 			}
 			out = append(out, g)
 		}
@@ -307,21 +289,21 @@ func (l *claimLog) absorb(d *data.Dataset) {
 
 // add interns a validated batch's names and appends its rows. The batch
 // passed validateBatch and checkTypes, so no property changes type.
-func (l *claimLog) add(recs []obsRec) {
+func (l *claimLog) add(batch []wal.Obs) {
 	b := l.b
-	for _, r := range recs {
-		src := b.Source(r.src)
-		pid := b.MustProperty(r.prop, r.typ)
-		obj := b.Object(r.obj)
-		if r.hasTS {
-			b.SetTimestampIdx(obj, r.ts)
+	for _, o := range batch {
+		src := b.Source(o.Source)
+		pid := b.MustProperty(o.Property, typeOf(o.Kind))
+		obj := b.Object(o.Object)
+		if o.HasTS {
+			b.SetTimestampIdx(obj, o.TS)
 		}
-		v := data.Float(r.f)
-		if r.typ == data.Categorical {
-			v = data.Cat(b.CatValue(pid, r.cat))
+		v := data.Float(o.F)
+		if o.Kind == wal.Categorical {
+			v = data.Cat(b.CatValue(pid, o.Cat))
 		}
 		b.ObserveIdx(src, obj, pid, v)
-		l.stamps = append(l.stamps, stamp{ts: r.ts, ok: r.hasTS})
+		l.stamps = append(l.stamps, stamp{ts: o.TS, ok: o.HasTS})
 	}
 }
 
@@ -370,7 +352,7 @@ type Observation struct {
 // sp, which may be nil, receives the validate, wal, apply and icrh
 // stages; validate includes the wait for the entry's lock.
 func (e *entry) Ingest(batch []Observation, sp *obs.Span) (int64, error) {
-	recs, err := validateBatch(batch)
+	claims, err := validateBatch(batch)
 	if err != nil {
 		return 0, err
 	}
@@ -379,18 +361,18 @@ func (e *entry) Ingest(batch []Observation, sp *obs.Span) (int64, error) {
 	if e.deleted {
 		return 0, errNotFound
 	}
-	if err := e.log.checkTypes(recs); err != nil {
+	if err := e.log.checkTypes(claims); err != nil {
 		return 0, err
 	}
 	sp.Mark(ingestValidate)
 	version := e.snap.Load().Version + 1
 	if e.dlog != nil {
-		if err := e.dlog.AppendBatch(version, recsToWAL(recs)); err != nil {
+		if err := e.dlog.AppendBatch(version, claims); err != nil {
 			return 0, fmt.Errorf("%w: %v", errDurable, err)
 		}
 		sp.Mark(ingestWAL)
 	}
-	e.apply(e.log, recs, version, sp)
+	e.apply(e.log, claims, version, sp)
 	if e.dlog != nil && e.snapEvery > 0 && version-e.lastSnap >= int64(e.snapEvery) {
 		// Snapshot failure is non-fatal: the batch is already durable in
 		// the WAL, the checkpoint just retries at the next boundary.
@@ -403,51 +385,52 @@ func (e *entry) Ingest(batch []Observation, sp *obs.Span) (int64, error) {
 }
 
 // validateBatch performs the lock-free part of ingest validation: shape,
-// value typing, and intra-batch property-type consistency. Cross-checking
-// against the log's committed property types happens under e.mu in
-// claimLog.checkTypes.
-func validateBatch(batch []Observation) ([]obsRec, error) {
+// value typing, and intra-batch property-type consistency. It returns
+// the batch as the claims the WAL logs and the claim log appends.
+// Cross-checking against the log's committed property types happens
+// under e.mu in claimLog.checkTypes.
+func validateBatch(batch []Observation) ([]wal.Obs, error) {
 	if len(batch) == 0 {
 		return nil, fmt.Errorf("empty observation batch")
 	}
-	staged := make(map[string]data.Type)
-	recs := make([]obsRec, 0, len(batch))
+	staged := make(map[string]wal.Kind)
+	claims := make([]wal.Obs, 0, len(batch))
 	for i, o := range batch {
 		if o.Source == "" || o.Object == "" || o.Property == "" {
 			return nil, fmt.Errorf("observation %d: source, object and property are required", i)
 		}
-		rec := obsRec{src: o.Source, obj: o.Object, prop: o.Property}
+		c := wal.Obs{Source: o.Source, Object: o.Object, Property: o.Property}
 		var f float64
 		var s string
 		if err := json.Unmarshal(o.Value, &f); err == nil {
 			if math.IsNaN(f) || math.IsInf(f, 0) {
 				return nil, fmt.Errorf("observation %d: non-finite value", i)
 			}
-			rec.typ, rec.f = data.Continuous, f
+			c.Kind, c.F = wal.Continuous, f
 		} else if err := json.Unmarshal(o.Value, &s); err == nil {
-			rec.typ, rec.cat = data.Categorical, s
+			c.Kind, c.Cat = wal.Categorical, s
 		} else {
 			return nil, fmt.Errorf("observation %d: value must be a JSON number (continuous) or string (categorical)", i)
 		}
-		if want, known := staged[rec.prop]; known && want != rec.typ {
-			return nil, fmt.Errorf("observation %d: property %q is %v, got %v value", i, rec.prop, want, rec.typ)
+		if want, known := staged[c.Property]; known && want != c.Kind {
+			return nil, fmt.Errorf("observation %d: property %q is %v, got %v value", i, c.Property, typeOf(want), typeOf(c.Kind))
 		}
-		staged[rec.prop] = rec.typ
+		staged[c.Property] = c.Kind
 		if o.Timestamp != nil {
-			rec.ts, rec.hasTS = *o.Timestamp, true
+			c.TS, c.HasTS = *o.Timestamp, true
 		}
-		recs = append(recs, rec)
+		claims = append(claims, c)
 	}
-	return recs, nil
+	return claims, nil
 }
 
 // checkTypes rejects a batch whose property types conflict with the
 // log's committed declarations.
-func (l *claimLog) checkTypes(recs []obsRec) error {
-	for i, rec := range recs {
-		if m, known := l.b.PropertyIndex(rec.prop); known {
-			if want := l.b.Prop(m).Type; want != rec.typ {
-				return fmt.Errorf("observation %d: property %q is %v, got %v value", i, rec.prop, want, rec.typ)
+func (l *claimLog) checkTypes(batch []wal.Obs) error {
+	for i, o := range batch {
+		if m, known := l.b.PropertyIndex(o.Property); known {
+			if want := l.b.Prop(m).Type; want != typeOf(o.Kind) {
+				return fmt.Errorf("observation %d: property %q is %v, got %v value", i, o.Property, want, typeOf(o.Kind))
 			}
 		}
 	}
@@ -461,12 +444,12 @@ func (l *claimLog) checkTypes(recs []obsRec) error {
 // bit-for-bit identical to the uncrashed process. l is e.log; the caller
 // holds e.mu or owns e. sp, which may be nil, receives the apply and
 // icrh stages.
-func (e *entry) apply(l *claimLog, recs []obsRec, version int64, sp *obs.Span) {
-	l.add(recs)
+func (e *entry) apply(l *claimLog, batch []wal.Obs, version int64, sp *obs.Span) {
+	l.add(batch)
 	e.publish(l, version)
 	sp.Mark(ingestApply)
 
-	chunk := l.chunk(recs, int(version))
+	chunk := l.chunk(batch, int(version))
 	truths := e.proc.Process(chunk)
 	weights := e.proc.Weights()
 
@@ -504,31 +487,28 @@ func (e *entry) apply(l *claimLog, recs []obsRec, version int64, sp *obs.Span) {
 // processor's per-source state stays aligned across chunks (the same
 // contract stream.TSVStream documents). defaultTS stamps observations
 // that carry no explicit timestamp.
-func (l *claimLog) chunk(recs []obsRec, defaultTS int) *data.Dataset {
+func (l *claimLog) chunk(batch []wal.Obs, defaultTS int) *data.Dataset {
 	b := data.NewBuilder()
 	for k := 0; k < l.b.NumSources(); k++ {
 		b.Source(l.b.SourceName(k))
 	}
-	propIdx := make(map[string]int, l.b.NumProps())
 	for m := 0; m < l.b.NumProps(); m++ {
 		p := l.b.Prop(m)
-		propIdx[p.Name] = b.MustProperty(p.Name, p.Type)
+		b.MustProperty(p.Name, p.Type)
 	}
-	for _, o := range recs {
-		obj := b.Object(o.obj)
+	for _, o := range batch {
+		obj := b.Object(o.Object)
 		ts := defaultTS
-		if o.hasTS {
-			ts = o.ts
+		if o.HasTS {
+			ts = o.TS
 		}
 		b.SetTimestampIdx(obj, ts)
-		pid := propIdx[o.prop]
-		var v data.Value
-		if o.typ == data.Categorical {
-			v = data.Cat(b.CatValue(pid, o.cat))
-		} else {
-			v = data.Float(o.f)
+		pid := b.MustProperty(o.Property, typeOf(o.Kind))
+		v := data.Float(o.F)
+		if o.Kind == wal.Categorical {
+			v = data.Cat(b.CatValue(pid, o.Cat))
 		}
-		b.ObserveIdx(b.Source(o.src), obj, pid, v)
+		b.ObserveIdx(b.Source(o.Source), obj, pid, v)
 	}
 	return b.Build()
 }

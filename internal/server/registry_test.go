@@ -177,28 +177,34 @@ func TestIngestRejectsAtomically(t *testing.T) {
 	r := NewRegistry(1)
 	e, _ := r.Create("d", strings.NewReader(testTSV))
 
+	// want, when set, is the whole error text: type conflicts name the
+	// property types as data.Type prints them.
 	cases := []struct {
 		name  string
 		batch []Observation
+		want  string
 	}{
-		{"empty batch", nil},
-		{"missing names", []Observation{{Source: "", Object: "o", Property: "p", Value: num(1)}}},
+		{"empty batch", nil, ""},
+		{"missing names", []Observation{{Source: "", Object: "o", Property: "p", Value: num(1)}}, ""},
 		{"type conflict with committed prop", []Observation{
 			{Source: "s1", Object: "o9", Property: "cond", Value: num(3)},
-		}},
+		}, `observation 0: property "cond" is categorical, got continuous value`},
 		{"type conflict within batch", []Observation{
 			{Source: "s1", Object: "o9", Property: "newp", Value: num(3)},
 			{Source: "s2", Object: "o9", Property: "newp", Value: str("x")},
-		}},
-		{"bad value", []Observation{{Source: "s1", Object: "o9", Property: "temp", Value: json.RawMessage(`[1]`)}}},
+		}, `observation 1: property "newp" is continuous, got categorical value`},
+		{"bad value", []Observation{{Source: "s1", Object: "o9", Property: "temp", Value: json.RawMessage(`[1]`)}}, ""},
 		{"valid then invalid leaves no trace", []Observation{
 			{Source: "sZ", Object: "oZ", Property: "temp", Value: num(1)},
 			{Source: "s1", Object: "o9", Property: "cond", Value: num(3)},
-		}},
+		}, ""},
 	}
 	for _, tc := range cases {
-		if _, err := e.Ingest(tc.batch, nil); err == nil {
+		_, err := e.Ingest(tc.batch, nil)
+		if err == nil {
 			t.Errorf("%s: no error", tc.name)
+		} else if tc.want != "" && err.Error() != tc.want {
+			t.Errorf("%s: error %q, want %q", tc.name, err, tc.want)
 		}
 	}
 	// Nothing may have leaked from the rejected batches.

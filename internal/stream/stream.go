@@ -130,8 +130,7 @@ type Processor struct {
 	cfg     Config
 	weights []float64
 	accum   []float64
-	history [][]float64 // weights after each chunk
-	n       int         // chunks processed
+	n       int // chunks processed
 }
 
 // NewProcessor returns a Processor for streams whose chunks share the
@@ -166,16 +165,14 @@ func (p *Processor) grow(numSources int) {
 // Process handles one chunk: it computes the chunk's truths from the
 // current weights (Algorithm 2, line 3), folds the chunk's per-source
 // losses into the decayed accumulated distances (line 4), and refreshes
-// the weights from the accumulation (line 5). The chunk is scanned once.
-// Chunks may introduce sources the processor has not seen; their state is
-// initialized on first appearance.
+// the weights from the accumulation (line 5). The chunk is scanned once:
+// one core.Prepared.Step sweep chooses each entry's truth and charges
+// its claims' deviations right after. Chunks may introduce sources the
+// processor has not seen; their state is initialized on first
+// appearance.
 func (p *Processor) Process(chunk *data.Dataset) *data.Table {
 	p.grow(chunk.NumSources())
-	// Prepare the chunk once and share it between the truth pass and
-	// the loss pass — the package-level helpers would prepare for each.
-	prep := core.Prepare(chunk)
-	truths := prep.AggregateTruths(p.weights, p.cfg.Core)
-	losses := prep.SourceLosses(truths, p.weights, p.cfg.Core)
+	truths, losses := core.Prepare(chunk).Step(p.weights, p.cfg.Core)
 	for k := range p.accum {
 		p.accum[k] *= p.cfg.Decay
 		if k < len(losses) {
@@ -188,7 +185,6 @@ func (p *Processor) Process(chunk *data.Dataset) *data.Table {
 	}
 	// The decayed accumulation tracks no observation counts.
 	scheme.Weights(p.weights, p.accum, nil)
-	p.history = append(p.history, append([]float64(nil), p.weights...))
 	p.n++
 	p.cfg.Metrics.record(chunk, len(p.weights))
 	return truths
@@ -210,18 +206,12 @@ func (p *Processor) State() (weights, accum []float64, chunks int) {
 
 // Restore replaces the processor's state with one previously captured
 // by State. Subsequent Process calls continue bit-for-bit identically
-// to a processor that never stopped. The weight history restarts empty:
-// recovery resumes the stream, it does not replay it.
+// to a processor that never stopped.
 func (p *Processor) Restore(weights, accum []float64, chunks int) {
 	p.weights = append([]float64(nil), weights...)
 	p.accum = append([]float64(nil), accum...)
-	p.history = nil
 	p.n = chunks
 }
-
-// History returns the weight vector recorded after each processed chunk —
-// the trajectories plotted in Figure 4a.
-func (p *Processor) History() [][]float64 { return p.history }
 
 // Chunks returns the number of chunks processed so far.
 func (p *Processor) Chunks() int { return p.n }
@@ -231,8 +221,8 @@ type Result struct {
 	// Truths maps every resolved entry of the original dataset to its
 	// I-CRH estimate.
 	Truths *data.Table
-	// Weights is the final weight vector; History the per-chunk
-	// trajectory.
+	// Weights is the final weight vector; History the weight vector
+	// after each chunk — the trajectories plotted in Figure 4a.
 	Weights []float64
 	History [][]float64
 	// ChunkCount is the number of non-empty windows processed.
@@ -248,6 +238,7 @@ func Run(d *data.Dataset, window int, cfg Config) (*Result, error) {
 	}
 	p := NewProcessor(d.NumSources(), cfg)
 	full := data.NewTableFor(d)
+	var history [][]float64
 	for _, ch := range chunks {
 		truths := p.Process(ch.Data)
 		M := d.NumProps()
@@ -258,11 +249,12 @@ func Run(d *data.Dataset, window int, cfg Config) (*Result, error) {
 				}
 			}
 		}
+		history = append(history, p.Weights())
 	}
 	return &Result{
 		Truths:     full,
 		Weights:    p.Weights(),
-		History:    p.History(),
+		History:    history,
 		ChunkCount: p.Chunks(),
 	}, nil
 }

@@ -3,11 +3,13 @@ package stream
 import (
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/crhkit/crh/internal/core"
 	"github.com/crhkit/crh/internal/data"
 	"github.com/crhkit/crh/internal/eval"
+	"github.com/crhkit/crh/internal/loss"
 	"github.com/crhkit/crh/internal/obs"
 	"github.com/crhkit/crh/internal/reg"
 	"github.com/crhkit/crh/internal/synth"
@@ -204,7 +206,7 @@ func TestProcessorSingleChunkMatchesVotingThenWeights(t *testing.T) {
 	for k := range uniform {
 		uniform[k] = 1
 	}
-	want := core.AggregateTruths(chunks[0].Data, uniform, core.Config{})
+	want, _ := core.Prepare(chunks[0].Data).Step(uniform, core.Config{})
 	for e := 0; e < got.Len(); e++ {
 		v1, ok1 := got.Get(e)
 		v2, ok2 := want.Get(e)
@@ -231,10 +233,9 @@ func TestDecayZeroUsesOnlyLatestChunk(t *testing.T) {
 	for ci, ch := range chunks {
 		weightsBefore := p.Weights()
 		p.Process(ch.Data)
-		// Replay: compute this chunk's truths and losses independently
-		// with the same incoming weights, and apply the scheme.
-		truths := core.AggregateTruths(ch.Data, weightsBefore, core.Config{})
-		losses := core.SourceLosses(ch.Data, truths, weightsBefore, core.Config{})
+		// Replay: compute this chunk's losses independently with the
+		// same incoming weights, and apply the scheme.
+		_, losses := core.Prepare(ch.Data).Step(weightsBefore, core.Config{})
 		want := make([]float64, len(losses))
 		reg.ExpMax{}.Weights(want, losses, nil)
 		got := p.Weights()
@@ -246,6 +247,79 @@ func TestDecayZeroUsesOnlyLatestChunk(t *testing.T) {
 		prevWeights = got
 	}
 	_ = prevWeights
+}
+
+// countingCategorical is the default categorical loss counting Truth
+// calls (one per entry resolved) and Deviation calls (one per claim
+// scored).
+type countingCategorical struct{ truths, devs *atomic.Int64 }
+
+func (countingCategorical) Name() string { return "counting-zero-one" }
+
+func (countingCategorical) NeedsDist() bool { return false }
+
+func (c countingCategorical) Truth(codes []uint32, ws []float64, votes, dist []float64, p *data.Property) int {
+	c.truths.Add(1)
+	return loss.ZeroOne{}.Truth(codes, ws, votes, dist, p)
+}
+
+func (c countingCategorical) Deviation(truth int, dist []float64, obs int, p *data.Property) float64 {
+	c.devs.Add(1)
+	return loss.ZeroOne{}.Deviation(truth, dist, obs, p)
+}
+
+// countingContinuous is the default continuous loss counting Deviation
+// calls.
+type countingContinuous struct{ devs *atomic.Int64 }
+
+func (countingContinuous) Name() string { return "counting-absolute" }
+
+func (countingContinuous) Truth(vals, ws, vbuf, wbuf []float64) float64 {
+	return loss.NormalizedAbsolute{}.Truth(vals, ws, vbuf, wbuf)
+}
+
+func (c countingContinuous) Deviation(truth, obs, std float64) float64 {
+	c.devs.Add(1)
+	return loss.NormalizedAbsolute{}.Deviation(truth, obs, std)
+}
+
+// TestProcessScansChunkOnce: Process scans each chunk once (Algorithm 2)
+// — one categorical Truth call per resolved categorical entry and one
+// Deviation per claim — at any worker budget.
+func TestProcessScansChunkOnce(t *testing.T) {
+	d, _ := weatherData(t)
+	chunks, err := ChunksByWindow(d, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var truthCalls, devs atomic.Int64
+	for _, workers := range []int{1, 4} {
+		p := NewProcessor(d.NumSources(), Config{Core: core.Config{
+			ContinuousLoss:  countingContinuous{&devs},
+			CategoricalLoss: countingCategorical{&truthCalls, &devs},
+			Workers:         workers,
+		}})
+		for ci, ch := range chunks {
+			truthCalls.Store(0)
+			devs.Store(0)
+			truths := p.Process(ch.Data)
+			var resolved int64
+			for e := 0; e < ch.Data.NumEntries(); e++ {
+				if ch.Data.Prop(ch.Data.EntryProp(e)).Type == data.Categorical && truths.Has(e) {
+					resolved++
+				}
+			}
+			if resolved == 0 {
+				t.Fatalf("chunk %d resolves no categorical entry", ci)
+			}
+			if got := truthCalls.Load(); got != resolved {
+				t.Errorf("workers=%d chunk %d: %d categorical Truth calls, want %d (one per resolved entry)", workers, ci, got, resolved)
+			}
+			if got, want := devs.Load(), int64(ch.Data.NumObservations()); got != want {
+				t.Errorf("workers=%d chunk %d: %d deviations, want %d (one per claim)", workers, ci, got, want)
+			}
+		}
+	}
 }
 
 // TestHistoryIsolated: History entries must be snapshots, not aliases of
@@ -270,8 +344,8 @@ func TestHistoryIsolated(t *testing.T) {
 
 // TestProcessorConcurrentAppendQuery exercises the incremental path the
 // way crhd's registry drives it: one mutex serializes Process (append)
-// while concurrent readers take snapshots of Weights/History/Chunks
-// between chunks. Run with -race, this pins down the locking contract a
+// while concurrent readers take snapshots of Weights/Chunks between
+// chunks. Run with -race, this pins down the locking contract a
 // concurrent server must follow, and the final state must be identical to
 // a purely sequential run over the same chunks.
 func TestProcessorConcurrentAppendQuery(t *testing.T) {
@@ -317,14 +391,13 @@ func TestProcessorConcurrentAppendQuery(t *testing.T) {
 				mu.RLock()
 				w := proc.Weights()
 				n := proc.Chunks()
-				h := proc.History()
 				mu.RUnlock()
 				if len(w) != d.NumSources() {
 					t.Errorf("snapshot has %d weights, want %d", len(w), d.NumSources())
 					return
 				}
-				if len(h) != n {
-					t.Errorf("history has %d rows after %d chunks", len(h), n)
+				if n < 0 || n > len(chunks) {
+					t.Errorf("%d chunks processed of %d", n, len(chunks))
 					return
 				}
 				for _, x := range w {

@@ -20,9 +20,10 @@ const (
 	Categorical      // see Continuous
 )
 
-// Obs is one observation on the durable path — the unit the binary
-// codec encodes and the WAL persists. Exactly one of F and Cat is
-// meaningful, selected by Kind.
+// Obs is one claim by name: the unit the binary codec encodes and the
+// WAL persists, and also crhd's validated ingest claim — a batch is
+// validated into Obs, logged as is, and appended to the dataset's claim
+// log. Exactly one of F and Cat is meaningful, selected by Kind.
 type Obs struct {
 	// Source names the claiming source; Object and Property name the
 	// entry it claims about.
@@ -88,25 +89,7 @@ func EncodeObservations(batch []Obs) []byte {
 	body := make([]byte, 0, 8+12*len(batch))
 	body = binary.AppendUvarint(body, uint64(len(batch)))
 	for _, o := range batch {
-		var flags byte
-		if o.Kind == Categorical {
-			flags |= flagCategorical
-		}
-		if o.HasTS {
-			flags |= flagHasTS
-		}
-		body = append(body, flags)
-		body = binary.AppendUvarint(body, tab.id(o.Source))
-		body = binary.AppendUvarint(body, tab.id(o.Object))
-		body = binary.AppendUvarint(body, tab.id(o.Property))
-		if o.Kind == Categorical {
-			body = binary.AppendUvarint(body, tab.id(o.Cat))
-		} else {
-			body = binary.LittleEndian.AppendUint64(body, math.Float64bits(o.F))
-		}
-		if o.HasTS {
-			body = binary.AppendVarint(body, int64(o.TS))
-		}
+		body = appendObs(body, tab, o)
 	}
 	out := make([]byte, 0, len(body)+8*len(tab.names)+4)
 	out = binary.AppendUvarint(out, uint64(len(tab.names)))
@@ -114,6 +97,33 @@ func EncodeObservations(batch []Obs) []byte {
 		out = appendString(out, s)
 	}
 	return append(out, body...)
+}
+
+// appendObs encodes one observation against the string table: a flags
+// byte, the source, object and property ids, then the category id or
+// the float's bits, then the timestamp when it has one. WAL records and
+// snapshots share it.
+func appendObs(dst []byte, tab *strTable, o Obs) []byte {
+	var flags byte
+	if o.Kind == Categorical {
+		flags |= flagCategorical
+	}
+	if o.HasTS {
+		flags |= flagHasTS
+	}
+	dst = append(dst, flags)
+	dst = binary.AppendUvarint(dst, tab.id(o.Source))
+	dst = binary.AppendUvarint(dst, tab.id(o.Object))
+	dst = binary.AppendUvarint(dst, tab.id(o.Property))
+	if o.Kind == Categorical {
+		dst = binary.AppendUvarint(dst, tab.id(o.Cat))
+	} else {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(o.F))
+	}
+	if o.HasTS {
+		dst = binary.AppendVarint(dst, int64(o.TS))
+	}
+	return dst
 }
 
 // decoder walks an encoded payload with bounds checking; every read
@@ -228,6 +238,27 @@ func (d *decoder) tableString(tab []string, id uint64, what string) string {
 	return tab[id]
 }
 
+// obs decodes one observation written by appendObs.
+func (d *decoder) obs(tab []string) Obs {
+	flags := d.byte()
+	o := Obs{
+		Source:   d.tableString(tab, d.uvarint(), "source"),
+		Object:   d.tableString(tab, d.uvarint(), "object"),
+		Property: d.tableString(tab, d.uvarint(), "property"),
+	}
+	if flags&flagCategorical != 0 {
+		o.Kind = Categorical
+		o.Cat = d.tableString(tab, d.uvarint(), "category")
+	} else {
+		o.F = d.float64()
+	}
+	if flags&flagHasTS != 0 {
+		o.TS = int(d.varint())
+		o.HasTS = true
+	}
+	return o
+}
+
 // DecodeObservations decodes a payload produced by EncodeObservations.
 // It never panics on malformed input: every length, count, and table
 // index is validated and the first violation is returned as an error.
@@ -245,22 +276,7 @@ func DecodeObservations(b []byte) ([]Obs, error) {
 	}
 	batch := make([]Obs, 0, n)
 	for i := uint64(0); i < n; i++ {
-		flags := d.byte()
-		o := Obs{
-			Source:   d.tableString(tab, d.uvarint(), "source"),
-			Object:   d.tableString(tab, d.uvarint(), "object"),
-			Property: d.tableString(tab, d.uvarint(), "property"),
-		}
-		if flags&flagCategorical != 0 {
-			o.Kind = Categorical
-			o.Cat = d.tableString(tab, d.uvarint(), "category")
-		} else {
-			o.F = d.float64()
-		}
-		if flags&flagHasTS != 0 {
-			o.TS = int(d.varint())
-			o.HasTS = true
-		}
+		o := d.obs(tab)
 		if d.err != nil {
 			return nil, d.err
 		}

@@ -135,25 +135,7 @@ func encodeSnapshot(s *Snapshot) []byte {
 	}
 	body = binary.AppendUvarint(body, uint64(len(s.Obs)))
 	for _, o := range s.Obs {
-		var flags byte
-		if o.Kind == Categorical {
-			flags |= flagCategorical
-		}
-		if o.HasTS {
-			flags |= flagHasTS
-		}
-		body = append(body, flags)
-		body = binary.AppendUvarint(body, tab.id(o.Source))
-		body = binary.AppendUvarint(body, tab.id(o.Object))
-		body = binary.AppendUvarint(body, tab.id(o.Property))
-		if o.Kind == Categorical {
-			body = binary.AppendUvarint(body, tab.id(o.Cat))
-		} else {
-			body = binary.LittleEndian.AppendUint64(body, math.Float64bits(o.F))
-		}
-		if o.HasTS {
-			body = binary.AppendVarint(body, int64(o.TS))
-		}
+		body = appendObs(body, tab, o)
 	}
 	body = binary.AppendUvarint(body, uint64(len(s.GT)))
 	for _, t := range s.GT {
@@ -228,23 +210,7 @@ func decodeSnapshot(payload []byte) (*Snapshot, error) {
 		d.fail("wal: observation count %d exceeds remaining %d bytes", nObs, len(d.b)-d.off)
 	}
 	for i := uint64(0); i < nObs && d.err == nil; i++ {
-		flags := d.byte()
-		o := Obs{
-			Source:   d.tableString(tab, d.uvarint(), "source"),
-			Object:   d.tableString(tab, d.uvarint(), "object"),
-			Property: d.tableString(tab, d.uvarint(), "property"),
-		}
-		if flags&flagCategorical != 0 {
-			o.Kind = Categorical
-			o.Cat = d.tableString(tab, d.uvarint(), "category")
-		} else {
-			o.F = d.float64()
-		}
-		if flags&flagHasTS != 0 {
-			o.TS = int(d.varint())
-			o.HasTS = true
-		}
-		s.Obs = append(s.Obs, o)
+		s.Obs = append(s.Obs, d.obs(tab))
 	}
 	nGT := d.uvarint()
 	if d.err == nil && nGT > uint64(len(d.b)-d.off) {

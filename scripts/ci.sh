@@ -29,7 +29,9 @@
 #                      scratch contract (results independent of scratch
 #                      contents, inputs unmodified: the solver passes its
 #                      columns uncopied), the solver's claim scorings
-#                      per run (I+1 for I iterations), plus the
+#                      per run (I+1 for I iterations), I-CRH's one scan
+#                      per chunk (one categorical Truth call per
+#                      resolved entry, one Deviation per claim), plus the
 #                      memory pins (a finished multi-worker run keeps no
 #                      Prepared reachable, nor does a pool offer no
 #                      worker took; a built Dataset owns its
@@ -43,11 +45,11 @@
 #   9. perfbench       vet and unit tests of the benchmark program, its
 #                      own Go module, which ./... above does not reach
 #  10. coverage floor  go test -coverprofile over the solver, data,
-#                      loss, scheme and statistics layers; fails if
-#                      combined statement coverage of
-#                      internal/{core,data,loss,reg,stats} falls below
-#                      the floor, and archives the profile
-#                      under results/coverage.out
+#                      loss, scheme, statistics, server, streaming and
+#                      WAL layers; fails if combined statement coverage
+#                      of internal/{core,data,loss,reg,stats,server,
+#                      stream,wal} falls below the floor, and archives
+#                      the profile under results/coverage.out
 #  11. lint self-check every analyzer crhlint -list reports must have a
 #                      golden testdata package, and the full -json report
 #                      (suppressed findings included) is archived under
@@ -81,9 +83,10 @@ make fuzz FUZZTIME=5s
 echo "==> loadcheck (serve-path smoke)"
 make loadcheck
 
-echo "==> allocation and memory pins (encode, solver iterations and passes, weighted median, weight schemes, loss scratch contract, run retention, dictionary copies, incremental Build)"
+echo "==> allocation and memory pins (encode, solver iterations and passes, I-CRH chunk scan, weighted median, weight schemes, loss scratch contract, run retention, dictionary copies, incremental Build)"
 go test -run 'TestEncodeAllocs' -count=1 ./internal/server/
 go test -run 'TestSolverIterationAllocFree|TestSolverRunReusesPrepared|TestParallelRunReleasesPrepared|TestPoolReleasesUntakenOffers|TestRunScoringPasses' -count=1 ./internal/core/
+go test -run 'TestProcessScansChunkOnce' -count=1 ./internal/stream/
 go test -run 'TestWeightedMedianBufAllocFree' -count=1 ./internal/stats/
 go test -run 'TestWeightsAllocFree' -count=1 ./internal/reg/
 go test -run 'TestContinuousKernelBitIdentity|TestCategoricalKernelBitIdentity' -count=1 ./internal/loss/
@@ -92,15 +95,15 @@ go test -run 'TestBuildCopiesCategoryDictionaries|TestIncrementalBuildAllocs' -c
 echo "==> perfbench (vet + unit tests)"
 go -C perfbench vet ./... && go -C perfbench test ./...
 
-echo "==> coverage floor (solver, data, loss, scheme and statistics layers)"
+echo "==> coverage floor (solver, data, loss, scheme, statistics, server, streaming and WAL layers)"
 mkdir -p results
 go test -count=1 -coverprofile=results/coverage.out \
-	-coverpkg=./internal/core/...,./internal/data/...,./internal/loss/...,./internal/reg/...,./internal/stats/... \
-	./internal/core/... ./internal/data/... ./internal/loss/... ./internal/reg/... ./internal/stats/... > /dev/null
+	-coverpkg=./internal/core/...,./internal/data/...,./internal/loss/...,./internal/reg/...,./internal/stats/...,./internal/server/...,./internal/stream/...,./internal/wal/... \
+	./internal/core/... ./internal/data/... ./internal/loss/... ./internal/reg/... ./internal/stats/... ./internal/server/... ./internal/stream/... ./internal/wal/... > /dev/null
 total=$(go tool cover -func=results/coverage.out | awk '/^total:/ {sub(/%/, "", $3); print $3}')
 floor=85.0
 if awk -v t="$total" -v f="$floor" 'BEGIN { exit !(t < f) }'; then
-	echo "coverage floor: ${total}% < ${floor}% over internal/{core,data,loss,reg,stats}" >&2
+	echo "coverage floor: ${total}% < ${floor}% over internal/{core,data,loss,reg,stats,server,stream,wal}" >&2
 	exit 1
 fi
 echo "coverage floor: ${total}% >= ${floor}% (profile archived at results/coverage.out)"
