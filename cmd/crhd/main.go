@@ -1,6 +1,6 @@
 // Command crhd serves truth discovery over HTTP: a concurrent, versioned
-// dataset registry with live ingest, request coalescing, and an LRU
-// result cache, backed by the CRH library.
+// dataset registry with live ingest whose versions coalesce identical
+// resolves and keep their results, backed by the CRH library.
 //
 // Usage:
 //
@@ -74,7 +74,7 @@ func run(ctx context.Context, args []string, stderr io.Writer, ready chan<- stri
 	fs.SetOutput(stderr)
 	var (
 		addr      = fs.String("addr", ":8080", "listen address (host:port; port 0 picks an ephemeral port)")
-		cacheSize = fs.Int("cache", 128, "resolve result cache capacity (entries)")
+		cacheSize = fs.Int("cache", 128, "finished resolve results each dataset version keeps (least recently used evicted first)")
 		decay     = fs.Float64("decay", 1, "I-CRH decay rate α in [0,1] for live-ingest incremental state")
 		workers   = fs.Int("solver-workers", 0, "solver worker pool shared by all resolves (0 = GOMAXPROCS); results are identical at any setting")
 		dataDir   = fs.String("data-dir", "", "durable ingest directory (WAL + snapshots per dataset); empty = memory-only (docs/DURABILITY.md)")

@@ -42,23 +42,30 @@ func post(b *testing.B, s *Server, body string) {
 	}
 }
 
+// resetResults empties the bench snapshot's results table, so the next
+// request computes afresh.
+func resetResults(s *Server) {
+	e, _ := s.registry.Get("bench")
+	e.Snapshot().results = results{}
+}
+
 // BenchmarkResolveCacheMiss measures a full computation + response per
-// iteration: the cache is emptied each round, so every request is a miss.
-// This is the server's worst-case hot path.
+// iteration: the snapshot's results table is emptied each round, so
+// every request is a miss. This is the server's worst-case hot path.
 func BenchmarkResolveCacheMiss(b *testing.B) {
 	s := benchServer(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		s.cache = newResultCache(128)
+		resetResults(s)
 		b.StartTimer()
 		post(b, s, `{}`)
 	}
 }
 
 // BenchmarkResolveCacheHit measures the O(1) repeated-query path: every
-// request after the first is served from the LRU without touching the
-// solver.
+// request after the first is served from the snapshot's results table
+// without touching the solver.
 func BenchmarkResolveCacheHit(b *testing.B) {
 	s := benchServer(b)
 	post(b, s, `{}`) // prime
@@ -71,9 +78,9 @@ func BenchmarkResolveCacheHit(b *testing.B) {
 // Concurrent benchmarks: one iteration = serving `fanout` simultaneous
 // resolve requests on the same dataset version.
 //
-// The coalesced variant sends identical requests, so the inflight map
-// collapses them to one computation. The uncoalesced variant defeats both
-// the cache and the coalescer with distinct max_iters values far above
+// The coalesced variant sends identical requests, so the results table
+// collapses them to one computation. The uncoalesced variant defeats its
+// caching and coalescing with distinct max_iters values far above
 // the convergence point — every request costs a full computation of
 // identical work, which is exactly what a server without coalescing would
 // do for identical requests.
@@ -84,7 +91,7 @@ func BenchmarkConcurrentResolveCoalesced(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		s.cache = newResultCache(128) // force one fresh computation per round
+		resetResults(s) // force one fresh computation per round
 		b.StartTimer()
 		var wg sync.WaitGroup
 		for j := 0; j < fanout; j++ {
@@ -103,7 +110,7 @@ func BenchmarkConcurrentResolveUncoalesced(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		s.cache = newResultCache(128)
+		resetResults(s)
 		b.StartTimer()
 		var wg sync.WaitGroup
 		for j := 0; j < fanout; j++ {

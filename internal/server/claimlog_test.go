@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"github.com/crhkit/crh/internal/data"
+	"github.com/crhkit/crh/internal/stream"
 	"github.com/crhkit/crh/internal/wal"
 )
 
@@ -212,8 +213,11 @@ func TestSnapshotsMatchStringReplay(t *testing.T) {
 func TestWALSnapshotMatchesFedRecords(t *testing.T) {
 	ingestSeeded(t, 30, func(version int64, e *entry, ref *replayLog) {
 		e.mu.Lock()
-		s := e.walSnapshot(e.log, version)
+		s := e.walSnapshot(e.log)
 		e.mu.Unlock()
+		if s.Version != version {
+			t.Fatalf("checkpoint version %d, want %d", s.Version, version)
+		}
 		if !reflect.DeepEqual(s.Sources, ref.sources) {
 			t.Fatalf("version %d: sources %q, want %q", version, s.Sources, ref.sources)
 		}
@@ -285,4 +289,87 @@ func sameDataset(t *testing.T, at string, got, want *data.Dataset) {
 			t.Fatalf("%s: entry %d claims %+v, want %+v", at, en, g, w)
 		}
 	}
+}
+
+// chunk builds batch's I-CRH chunk from the replay log's name tables:
+// every source and property known so far first, then the batch's
+// claims by name, stamped with defaultTS where they carry no timestamp.
+func (l *replayLog) chunk(t *testing.T, batch []wal.Obs, defaultTS int) *data.Dataset {
+	b := data.NewBuilder()
+	for _, s := range l.sources {
+		b.Source(s)
+	}
+	for _, p := range l.props {
+		b.MustProperty(p.name, p.typ)
+	}
+	for _, o := range batch {
+		ts := defaultTS
+		if o.HasTS {
+			ts = o.TS
+		}
+		b.SetTimestamp(o.Object, ts)
+		var err error
+		if o.Kind == wal.Categorical {
+			err = b.ObserveCat(o.Source, o.Object, o.Property, o.Cat)
+		} else {
+			err = b.ObserveFloat(o.Source, o.Object, o.Property, o.F)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b.Build()
+}
+
+// TestWarmStateMatchesNameKeyedReplay holds the entry-indexed warm state
+// to a replay that keeps the warm truths by (object, property) name:
+// the same chunks through a hand-held processor, every version, while
+// sources, properties, objects and categories keep arriving.
+func TestWarmStateMatchesNameKeyedReplay(t *testing.T) {
+	proc := stream.NewProcessor(2, stream.Config{Decay: 1, DecaySet: true})
+	warm := map[[2]string]TruthValue{}
+	var chunks, logged int
+	ingestSeeded(t, 30, func(version int64, e *entry, ref *replayLog) {
+		if version > 1 {
+			// ref already holds this version's batch: the log's tail.
+			chunk := ref.chunk(t, ref.log[logged:], int(version))
+			truths := proc.Process(chunk)
+			truths.ForEach(func(en int, v data.Value) {
+				p := chunk.Prop(chunk.EntryProp(en))
+				tv := TruthValue{F: v.F}
+				if p.Type == data.Categorical {
+					tv = TruthValue{IsCat: true, Cat: p.CatName(int(v.C))}
+				}
+				warm[[2]string{chunk.ObjectName(chunk.EntryObject(en)), p.Name}] = tv
+			})
+			chunks++
+		}
+		logged = len(ref.log)
+		gotVersion, truths, weights, gotChunks := e.WarmState()
+		if gotVersion != version || gotChunks != chunks || len(truths) != len(warm) {
+			t.Fatalf("version %d: warm state at version %d, %d chunks, %d truths; want %d chunks, %d truths",
+				version, gotVersion, gotChunks, len(truths), chunks, len(warm))
+		}
+		for _, tr := range truths {
+			want, ok := warm[[2]string{tr.Object, tr.Property}]
+			if !ok || want.IsCat != tr.Value.IsCat || want.Cat != tr.Value.Cat || math.Float64bits(want.F) != math.Float64bits(tr.Value.F) {
+				t.Fatalf("version %d: warm truth %s/%s = %+v, want %+v", version, tr.Object, tr.Property, tr.Value, want)
+			}
+		}
+		if chunks == 0 {
+			if len(weights) != 0 {
+				t.Fatalf("version %d: weights %v before the first chunk", version, weights)
+			}
+			return
+		}
+		ws := proc.Weights()
+		if len(weights) != len(ws) {
+			t.Fatalf("version %d: %d weights, want %d", version, len(weights), len(ws))
+		}
+		for k, w := range ws {
+			if math.Float64bits(weights[ref.sources[k]]) != math.Float64bits(w) {
+				t.Fatalf("version %d: weight of %s = %v, want %v", version, ref.sources[k], weights[ref.sources[k]], w)
+			}
+		}
+	})
 }

@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/crhkit/crh/internal/data"
 	"github.com/crhkit/crh/internal/stream"
@@ -14,8 +13,9 @@ import (
 // boot-time recovery. The recovery contract is exact — a recovered entry
 // is bit-for-bit identical (snapshot data, warm truths, source weights)
 // to the entry the crashed process held at the last acknowledged version,
-// because replayed WAL batches flow through the same entry.apply path as
-// live ingest (docs/DURABILITY.md).
+// because the checkpoint's warm state is indexed like the recovered
+// snapshot and replayed WAL batches flow through the same entry.apply
+// path as live ingest (docs/DURABILITY.md).
 
 func kindOf(t data.Type) wal.Kind {
 	if t == data.Categorical {
@@ -57,36 +57,34 @@ func (l *claimLog) walObs() []wal.Obs {
 	return out
 }
 
-// walSnapshot captures the entry's full durable state at the given
+// walSnapshot captures the entry's full durable state at its current
 // version: interning orders (sources, properties), the claim log, ground
-// truth, I-CRH processor state, and the warm truth table. l is e.log;
-// the caller holds e.mu or owns e.
-func (e *entry) walSnapshot(l *claimLog, version int64) *wal.Snapshot {
+// truth, I-CRH processor state, and the current snapshot's warm truths.
+// l is e.log; the caller holds e.mu or owns e.
+func (e *entry) walSnapshot(l *claimLog) *wal.Snapshot {
+	snap := e.snap.Load()
 	s := &wal.Snapshot{
-		Version: version,
-		Sources: l.sourceNames(),
+		Version: snap.Version,
+		Sources: make([]string, l.b.NumSources()),
 		Props:   make([]wal.Prop, l.b.NumProps()),
 		Obs:     l.walObs(),
 		GT:      e.gt,
+	}
+	for k := range s.Sources {
+		s.Sources[k] = l.b.SourceName(k)
 	}
 	for m := range s.Props {
 		p := l.b.Prop(m)
 		s.Props[m] = wal.Prop{Name: p.Name, Kind: kindOf(p.Type)}
 	}
 	s.Weights, s.Accum, s.Chunks = e.proc.State()
-
-	e.warmMu.RLock()
-	s.Warm = make([]wal.Truth, 0, len(e.warmTruths))
-	for k, v := range e.warmTruths {
-		s.Warm = append(s.Warm, wal.Truth{
-			Object:   k.obj,
-			Property: k.prop,
-			Kind:     kindOf(v.typ),
-			F:        v.f,
-			Cat:      v.cat,
-		})
-	}
-	e.warmMu.RUnlock()
+	snap.eachWarm(func(object, property string, v TruthValue) {
+		w := wal.Truth{Object: object, Property: property, Kind: wal.Continuous, F: v.F, Cat: v.Cat}
+		if v.IsCat {
+			w.Kind = wal.Categorical
+		}
+		s.Warm = append(s.Warm, w)
+	})
 	return s
 }
 
@@ -128,12 +126,10 @@ func (r *Registry) recoverDataset(name string) (*entry, error) {
 		return nil, err
 	}
 	e := &entry{
-		name:       name,
-		uid:        r.nextUID.Add(1),
-		log:        newClaimLog(),
-		warmTruths: make(map[warmKey]warmVal),
-		snapEvery:  r.snapshotEvery,
-		lastSnap:   snap.Version,
+		name:      name,
+		log:       newClaimLog(),
+		snapEvery: r.snapshotEvery,
+		lastSnap:  snap.Version,
 	}
 	// Interning orders must be restored exactly as captured — the I-CRH
 	// weight vector is positional, and snapshots and chunks emit sources
@@ -149,16 +145,16 @@ func (r *Registry) recoverDataset(name string) (*entry, error) {
 	e.gt = snap.GT
 	e.proc = stream.NewProcessor(len(snap.Sources), r.streamCfg)
 	e.proc.Restore(snap.Weights, snap.Accum, snap.Chunks)
+	s := &Snapshot{Version: snap.Version, Data: e.log.b.Build(), HasTruth: len(e.gt) > 0, chunks: snap.Chunks}
 	if snap.Chunks > 0 {
-		for _, w := range snap.Warm {
-			e.warmTruths[warmKey{w.Object, w.Property}] = warmVal{typ: typeOf(w.Kind), f: w.F, cat: w.Cat}
+		if s.warm, err = e.log.warmTable(s.Data, snap.Warm); err != nil {
+			//lint:ignore errflow the corruption error below supersedes any close failure on the bail-out path
+			_ = dl.Close()
+			return nil, err
 		}
-		e.warmWeights = append([]float64(nil), snap.Weights...)
-		e.warmSources = e.log.sourceNames()
-		e.chunks = snap.Chunks
+		s.weights = snap.Weights
 	}
-	e.warmVersion = snap.Version // not yet published; no lock needed
-	e.publish(e.log, snap.Version)
+	e.snap.Store(s)
 
 	for _, b := range batches {
 		want := e.snap.Load().Version + 1
@@ -205,18 +201,33 @@ func (r *Registry) CloseDurable() error {
 // eachDurable runs f under e.mu for every entry with a WAL handle, in
 // name order.
 func (r *Registry) eachDurable(f func(e *entry)) {
-	r.mu.RLock()
-	entries := make([]*entry, 0, len(r.entries))
-	for _, e := range r.entries {
-		entries = append(entries, e)
-	}
-	r.mu.RUnlock()
-	sort.Slice(entries, func(i, j int) bool { return entries[i].name < entries[j].name })
-	for _, e := range entries {
+	for _, e := range r.sorted() {
 		e.mu.Lock()
 		if e.dlog != nil {
 			f(e)
 		}
 		e.mu.Unlock()
 	}
+}
+
+// warmTable indexes a checkpoint's warm truths, recorded by name, like
+// d, the log's build at the checkpoint. A truth naming an entry or a
+// category d lacks is corruption.
+func (l *claimLog) warmTable(d *data.Dataset, recs []wal.Truth) (*data.Table, error) {
+	t := data.NewTableFor(d)
+	for _, w := range recs {
+		m, ok := l.b.PropertyIndex(w.Property)
+		i := l.b.Object(w.Object)
+		v := data.Float(w.F)
+		if ok && w.Kind == wal.Categorical {
+			var c int
+			c, ok = d.Prop(m).CatID(w.Cat)
+			v = data.Cat(c)
+		}
+		if !ok || i >= d.NumObjects() || d.Prop(m).Type != typeOf(w.Kind) {
+			return nil, fmt.Errorf("%w: warm truth for unknown entry %s/%s", wal.ErrCorrupt, w.Object, w.Property)
+		}
+		t.SetAt(i, m, v)
+	}
+	return t, nil
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -13,6 +14,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/crhkit/crh/internal/data"
 	"github.com/crhkit/crh/internal/wal"
 )
 
@@ -343,5 +345,90 @@ func TestDurableCorruptWALRefusesStart(t *testing.T) {
 	}
 	if _, err := New(Config{DataDir: dir}); !errors.Is(err, wal.ErrCorrupt) {
 		t.Fatalf("corrupt WAL start: %v, want ErrCorrupt", err)
+	}
+}
+
+// TestDurableRecoverySeededWarm: recovery re-indexes a checkpoint's warm
+// truths, recorded by name, like the recovered snapshot, while sources,
+// properties, objects and categories arrive mid-stream; restarted at
+// every point of the checkpoint cadence, the server serves the
+// pre-shutdown resolve, warm state and info byte for byte.
+func TestDurableRecoverySeededWarm(t *testing.T) {
+	batches := seededBatches(rand.New(rand.NewSource(11)), 24)
+	for _, n := range []int{4, 13, 24} {
+		t.Run(fmt.Sprintf("batches=%d", n), func(t *testing.T) {
+			dir := t.TempDir()
+			s1 := durableServer(t, dir, Config{SnapshotEvery: 4})
+			e, err := s1.registry.Create("d", strings.NewReader(replayTSV))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, b := range batches[:n] {
+				if _, err := e.Ingest(b, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			wantResolve, wantWarm, wantInfo := resolveBits(t, s1, "d"), warmBits(t, s1, "d"), e.Info()
+			mustClose(t, s1)
+
+			s2 := durableServer(t, dir, Config{SnapshotEvery: 4})
+			defer mustClose(t, s2)
+			e2, ok := s2.registry.Get("d")
+			if !ok {
+				t.Fatal("dataset not recovered")
+			}
+			if got := e2.Info(); got != wantInfo {
+				t.Fatalf("recovered info %+v, want %+v", got, wantInfo)
+			}
+			if got := warmBits(t, s2, "d"); !bytes.Equal(got, wantWarm) {
+				t.Fatalf("warm state diverged after recovery:\n got %s\nwant %s", got, wantWarm)
+			}
+			if got := resolveBits(t, s2, "d"); !bytes.Equal(got, wantResolve) {
+				t.Fatalf("resolve diverged after recovery:\n got %s\nwant %s", got, wantResolve)
+			}
+		})
+	}
+}
+
+// TestWarmTableRejectsUnknownEntries: a checkpoint's warm truth must
+// name an entry, with a category, the recovered log holds.
+func TestWarmTableRejectsUnknownEntries(t *testing.T) {
+	d, _, err := data.Decode(strings.NewReader(testTSV))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := newClaimLog()
+	l.absorb(d)
+	built := l.b.Build()
+	good := []wal.Truth{
+		{Object: "o2", Property: "temp", Kind: wal.Continuous, F: 21.5},
+		{Object: "o1", Property: "cond", Kind: wal.Categorical, Cat: "sunny"},
+	}
+	tab, err := l.warmTable(built, good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := &Snapshot{Data: built, warm: tab}
+	var got []wal.Truth
+	snap.eachWarm(func(object, property string, v TruthValue) {
+		w := wal.Truth{Object: object, Property: property, F: v.F, Cat: v.Cat}
+		if v.IsCat {
+			w.Kind = wal.Categorical
+		}
+		got = append(got, w)
+	})
+	if len(got) != 2 || got[0] != good[1] || got[1] != good[0] {
+		t.Fatalf("warm truths read back as %+v, want %+v in entry order", got, good)
+	}
+	for _, bad := range []wal.Truth{
+		{Object: "o7", Property: "temp", Kind: wal.Continuous, F: 1},
+		{Object: "o1", Property: "wind", Kind: wal.Continuous, F: 1},
+		{Object: "o1", Property: "cond", Kind: wal.Categorical, Cat: "hail"},
+		{Object: "o1", Property: "temp", Kind: wal.Categorical, Cat: "sunny"},
+		{Object: "o1", Property: "cond", Kind: wal.Continuous, F: 1},
+	} {
+		if _, err := l.warmTable(built, []wal.Truth{bad}); !errors.Is(err, wal.ErrCorrupt) {
+			t.Errorf("warm truth %+v: err %v, want ErrCorrupt", bad, err)
+		}
 	}
 }

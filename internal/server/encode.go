@@ -12,9 +12,10 @@ import (
 // immutable once computed (the determinism contract in docs/PARALLEL.md),
 // so the server encodes each ResolveResponse exactly once — straight into
 // a flat []byte with strconv appends, no reflection, no intermediate maps
-// — and caches the bytes next to the response. Cache hits and coalesced
-// followers then serve the precomputed body; the only per-request work is
-// stamping the tiny cached/coalesced envelope prefix in front of it.
+// — and the snapshot's results table keeps only those bytes. Cache hits
+// and coalesced followers then serve the precomputed body; the only
+// per-request work is stamping the tiny cached/coalesced envelope prefix
+// in front of it.
 //
 // The output is byte-for-byte identical to what encoding/json (with
 // SetEscapeHTML(false), the server's writeJSON setting) produces for the

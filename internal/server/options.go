@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"unicode/utf8"
 
 	"github.com/crhkit/crh/internal/baseline"
 	"github.com/crhkit/crh/internal/core"
@@ -127,19 +128,19 @@ func (o ResolveOptions) build() (core.Config, error) {
 	return cfg, nil
 }
 
-// cacheKey identifies one computation: dataset identity (uid, not name,
-// so a deleted-then-recreated dataset never aliases), dataset version,
-// method, and the normalized options. Identical keys ⇒ identical results,
-// which is what makes both the LRU cache and request coalescing sound.
-func cacheKey(uid, version int64, req *ResolveRequest) string {
+// cacheKey identifies one computation on a snapshot: the method and the
+// normalized options. Identical keys on one snapshot ⇒ identical
+// results, which is what makes both its results table's caching and
+// request coalescing sound.
+func cacheKey(req *ResolveRequest) string {
 	if req.Method != MethodCRH {
 		// Baselines ignore options, so differing (ignored) options must
 		// still coalesce to one computation.
-		return fmt.Sprintf("%d@%d|m=%s", uid, version, req.Method)
+		return "m=" + req.Method
 	}
 	o := req.Options
-	return fmt.Sprintf("%d@%d|m=crh|cl=%s|tl=%s|w=%s|j=%d|it=%d|conf=%t",
-		uid, version, o.ContinuousLoss, o.CategoricalLoss, o.Weights, o.TopJ, o.MaxIters, o.Confidence)
+	return fmt.Sprintf("m=crh|cl=%s|tl=%s|w=%s|j=%d|it=%d|conf=%t",
+		o.ContinuousLoss, o.CategoricalLoss, o.Weights, o.TopJ, o.MaxIters, o.Confidence)
 }
 
 // TruthValue is the resolved value of one entry: a float64 for
@@ -170,17 +171,51 @@ func (v TruthValue) MarshalJSON() ([]byte, error) {
 // UnmarshalJSON accepts a JSON number (continuous) or string
 // (categorical) — the same shapes ingest accepts for observations.
 func (v *TruthValue) UnmarshalJSON(b []byte) error {
-	var f float64
-	if err := json.Unmarshal(b, &f); err == nil {
-		*v = TruthValue{F: f}
-		return nil
+	tv, ok := decodeValue(b)
+	if !ok {
+		return fmt.Errorf("truth value must be a JSON number or string")
 	}
-	var s string
-	if err := json.Unmarshal(b, &s); err == nil {
-		*v = TruthValue{IsCat: true, Cat: s}
-		return nil
+	*v = tv
+	return nil
+}
+
+// decodeValue decodes the JSON value b as a number (continuous) or a
+// string (categorical), picking the one decode by b's first byte. ok is
+// false for anything else: null, booleans, objects, arrays, and numbers
+// out of float64's range. A string without escapes or invalid UTF-8 is
+// its own content, so only one that needs unquoting goes through
+// encoding/json.
+func decodeValue(b []byte) (v TruthValue, ok bool) {
+	switch {
+	case len(b) >= 2 && b[0] == '"':
+		v.IsCat = true
+		if in := b[1 : len(b)-1]; b[len(b)-1] == '"' && plainJSON(in) {
+			v.Cat = string(in)
+			return v, true
+		}
+		var s string
+		err := json.Unmarshal(b, &s)
+		v.Cat = s
+		return v, err == nil
+	case len(b) > 0 && (b[0] == '-' || '0' <= b[0] && b[0] <= '9'):
+		var f float64
+		err := json.Unmarshal(b, &f)
+		v.F = f
+		return v, err == nil
 	}
-	return fmt.Errorf("truth value must be a JSON number or string")
+	return v, false
+}
+
+// plainJSON reports whether s, a JSON string literal's content, decodes
+// to itself: it holds no escape, quote or control byte, and is valid
+// UTF-8 (encoding/json replaces invalid bytes).
+func plainJSON(s []byte) bool {
+	for _, c := range s {
+		if c == '\\' || c == '"' || c < ' ' {
+			return false
+		}
+	}
+	return utf8.Valid(s)
 }
 
 // stdlibJSON marshals v with encoding/json under the server's encoder
@@ -263,8 +298,8 @@ func (ws SourceWeights) Get(name string) float64 {
 	return 0
 }
 
-// ResolveResponse is the shared, immutable result of one computation. The
-// same instance may be served to many requests (cache hits, coalesced
+// ResolveResponse is the immutable result of one computation. Its
+// encoding may be served to many requests (cache hits, coalesced
 // followers); the per-request cached/coalesced flags live in the HTTP
 // envelope, never here.
 type ResolveResponse struct {

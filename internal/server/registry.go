@@ -1,15 +1,15 @@
 // Package server implements crhd's HTTP subsystem: a concurrent,
-// versioned dataset registry with copy-on-write snapshots, resolve
-// request coalescing, an LRU result cache, live ingest driving warm
-// incremental CRH (I-CRH) state, and hand-rolled operational stats.
-// Everything is standard library only.
+// versioned dataset registry with copy-on-write snapshots, each holding
+// its version's warm incremental CRH (I-CRH) state and a table of resolve
+// results that coalesces identical requests and keeps their encoded
+// bodies, plus live ingest and hand-rolled operational stats. Everything
+// is standard library only.
 package server
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"regexp"
 	"slices"
 	"sort"
@@ -23,17 +23,28 @@ import (
 	"github.com/crhkit/crh/internal/wal"
 )
 
-// Snapshot is an immutable view of a dataset at one version. Resolves
-// operate on snapshots, so they never block — and are never blocked by —
-// concurrent ingest, which installs a fresh snapshot atomically.
+// Snapshot is one version of a dataset. Its data and its warm I-CRH
+// state are immutable; its Prepared solver view and its results table
+// are computed from them once and shared by every resolve of the
+// version. Resolves operate on snapshots, so they never block — and are
+// never blocked by — concurrent ingest, which installs a fresh snapshot
+// atomically; a superseded snapshot's results go with it.
 type Snapshot struct {
 	// Version counts mutations: 1 after create, +1 per ingested batch.
 	Version int64
-	// Data is the materialized dataset. Immutable.
+	// Data is the materialized dataset.
 	Data *data.Dataset
 	// HasTruth reports whether a ground truth was uploaded with the
 	// dataset.
 	HasTruth bool
+
+	// warm holds the I-CRH truths after this version's chunk, indexed
+	// like Data (nil before the first chunk); weights are the
+	// processor's source weights, in Data's source order (nil before the
+	// first chunk), and chunks the number of chunks processed.
+	warm    *data.Table
+	weights []float64
+	chunks  int
 
 	// prepared lazily computes Data's solver statistics on the first
 	// CRH resolve and shares them with every later resolve of this
@@ -41,6 +52,9 @@ type Snapshot struct {
 	// per request.
 	prepOnce sync.Once
 	prepared *core.Prepared
+
+	// results holds this version's resolve computations.
+	results results
 }
 
 // Prepared returns the snapshot's prepared solver view, building it on
@@ -48,6 +62,22 @@ type Snapshot struct {
 func (s *Snapshot) Prepared() *core.Prepared {
 	s.prepOnce.Do(func() { s.prepared = core.Prepare(s.Data) })
 	return s.prepared
+}
+
+// eachWarm calls fn with every warm truth by name, in entry order.
+func (s *Snapshot) eachWarm(fn func(object, property string, v TruthValue)) {
+	if s.warm == nil {
+		return
+	}
+	d := s.Data
+	s.warm.ForEach(func(e int, v data.Value) {
+		p := d.Prop(d.EntryProp(e))
+		tv := TruthValue{F: v.F}
+		if p.Type == data.Categorical {
+			tv = TruthValue{IsCat: true, Cat: p.CatName(int(v.C))}
+		}
+		fn(d.ObjectName(d.EntryObject(e)), p.Name, tv)
+	})
 }
 
 // stamp is one logged claim's timestamp, if it carried one. The builder
@@ -75,16 +105,12 @@ func newClaimLog() *claimLog { return &claimLog{b: data.NewBuilder()} }
 // with respect to ingest:
 //
 //   - mu serializes mutations (ingest, which appends to the claim log,
-//     builds the new snapshot, and advances the I-CRH processor).
+//     advances the I-CRH processor and publishes the new snapshot).
 //     Resolves never acquire it.
-//   - snap is the copy-on-write snapshot pointer resolves read.
-//   - warmMu guards the warm incremental truths/weights, written briefly
-//     at the end of each ingest and read by the incremental endpoint.
+//   - snap is the copy-on-write snapshot pointer resolves, the
+//     incremental endpoint and dataset info read.
 type entry struct {
 	name string
-	// uid is unique across all datasets ever created by this registry, so
-	// cache keys of a deleted-then-recreated name can never collide.
-	uid int64
 
 	mu sync.Mutex
 	// log is the interned claim log. Methods that run under mu take it
@@ -108,31 +134,6 @@ type entry struct {
 	snapEvery int   // see dlog
 
 	snap atomic.Pointer[Snapshot]
-
-	warmMu sync.RWMutex
-	// crh:guardedby warmMu
-	warmTruths map[warmKey]warmVal
-	// crh:guardedby warmMu
-	warmWeights []float64
-	// copy of sources, aligned with warmWeights
-	// crh:guardedby warmMu
-	warmSources []string
-	// crh:guardedby warmMu
-	chunks int
-	// warmVersion is the snapshot version the warm state corresponds to,
-	// recorded in the same critical section that installs the state so
-	// WarmState can return both atomically (always chunks+1 in steady
-	// state: version 1 at create, +1 per ingested chunk).
-	// crh:guardedby warmMu
-	warmVersion int64
-}
-
-type warmKey struct{ obj, prop string }
-
-type warmVal struct {
-	typ data.Type
-	f   float64
-	cat string
 }
 
 // Snapshot returns the entry's current immutable snapshot.
@@ -144,7 +145,6 @@ type Registry struct {
 	mu sync.RWMutex
 	// crh:guardedby mu
 	entries   map[string]*entry
-	nextUID   atomic.Int64
 	streamCfg stream.Config
 	// store is the durability backend, nil in memory-only mode;
 	// snapshotEvery the batch cadence entries snapshot at.
@@ -195,17 +195,14 @@ func (r *Registry) Create(name string, src io.Reader) (*entry, error) {
 		return nil, err
 	}
 	e := &entry{
-		name:       name,
-		uid:        r.nextUID.Add(1),
-		log:        newClaimLog(),
-		gt:         truthRecs(d, gt),
-		warmTruths: make(map[warmKey]warmVal),
-		proc:       stream.NewProcessor(d.NumSources(), r.streamCfg),
-		snapEvery:  r.snapshotEvery,
+		name:      name,
+		log:       newClaimLog(),
+		gt:        truthRecs(d, gt),
+		proc:      stream.NewProcessor(d.NumSources(), r.streamCfg),
+		snapEvery: r.snapshotEvery,
 	}
 	e.log.absorb(d)
-	e.publish(e.log, 1)
-	e.warmVersion = 1 // not yet published; no lock needed
+	e.snap.Store(&Snapshot{Version: 1, Data: e.log.b.Build(), HasTruth: len(e.gt) > 0})
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -213,7 +210,7 @@ func (r *Registry) Create(name string, src io.Reader) (*entry, error) {
 		return nil, errExists
 	}
 	if r.store != nil {
-		dl, err := r.store.Create(name, e.walSnapshot(e.log, 1))
+		dl, err := r.store.Create(name, e.walSnapshot(e.log))
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", errDurable, err)
 		}
@@ -307,22 +304,6 @@ func (l *claimLog) add(batch []wal.Obs) {
 	}
 }
 
-// sourceNames returns the interned source names in interning order,
-// which is the order of the I-CRH processor's weight vector.
-func (l *claimLog) sourceNames() []string {
-	out := make([]string, l.b.NumSources())
-	for k := range out {
-		out[k] = l.b.SourceName(k)
-	}
-	return out
-}
-
-// publish installs the log's current contents as the snapshot at
-// version. l is e.log; the caller holds e.mu or owns e.
-func (e *entry) publish(l *claimLog, version int64) {
-	e.snap.Store(&Snapshot{Version: version, Data: l.b.Build(), HasTruth: len(e.gt) > 0})
-}
-
 // Observation is one ingested observation, as posted to
 // POST /v1/datasets/{name}/observations. Value must be a JSON number
 // (continuous) or string (categorical); the property's type is inferred
@@ -340,14 +321,14 @@ type Observation struct {
 	Timestamp *int `json:"timestamp,omitempty"`
 }
 
-// Ingest validates and appends a batch of observations, installs a new
-// snapshot, and advances the warm I-CRH state by processing the batch as
-// one chunk. The batch is atomic: any invalid observation rejects the
-// whole batch before any state changes. In durable mode the batch is
-// appended to the WAL before it is applied — a request is only
-// acknowledged once it would survive a crash — and every snapEvery
-// batches the entry checkpoints a snapshot, retiring covered WAL
-// segments. Returns the new version.
+// Ingest validates and appends a batch of observations, advances the
+// warm I-CRH state by processing the batch as one chunk, and installs
+// the new version's snapshot. The batch is atomic: any invalid
+// observation rejects the whole batch before any state changes. In
+// durable mode the batch is appended to the WAL before it is applied — a
+// request is only acknowledged once it would survive a crash — and every
+// snapEvery batches the entry checkpoints a snapshot, retiring covered
+// WAL segments. Returns the new version.
 //
 // sp, which may be nil, receives the validate, wal, apply and icrh
 // stages; validate includes the wait for the entry's lock.
@@ -376,7 +357,7 @@ func (e *entry) Ingest(batch []Observation, sp *obs.Span) (int64, error) {
 	if e.dlog != nil && e.snapEvery > 0 && version-e.lastSnap >= int64(e.snapEvery) {
 		// Snapshot failure is non-fatal: the batch is already durable in
 		// the WAL, the checkpoint just retries at the next boundary.
-		if err := e.dlog.WriteSnapshot(e.walSnapshot(e.log, version)); err == nil {
+		if err := e.dlog.WriteSnapshot(e.walSnapshot(e.log)); err == nil {
 			e.lastSnap = version
 		}
 		sp.Mark(ingestWAL)
@@ -399,18 +380,13 @@ func validateBatch(batch []Observation) ([]wal.Obs, error) {
 		if o.Source == "" || o.Object == "" || o.Property == "" {
 			return nil, fmt.Errorf("observation %d: source, object and property are required", i)
 		}
-		c := wal.Obs{Source: o.Source, Object: o.Object, Property: o.Property}
-		var f float64
-		var s string
-		if err := json.Unmarshal(o.Value, &f); err == nil {
-			if math.IsNaN(f) || math.IsInf(f, 0) {
-				return nil, fmt.Errorf("observation %d: non-finite value", i)
-			}
-			c.Kind, c.F = wal.Continuous, f
-		} else if err := json.Unmarshal(o.Value, &s); err == nil {
-			c.Kind, c.Cat = wal.Categorical, s
-		} else {
+		v, ok := decodeValue(o.Value)
+		if !ok {
 			return nil, fmt.Errorf("observation %d: value must be a JSON number (continuous) or string (categorical)", i)
+		}
+		c := wal.Obs{Source: o.Source, Object: o.Object, Property: o.Property, Kind: wal.Continuous, F: v.F, Cat: v.Cat}
+		if v.IsCat {
+			c.Kind = wal.Categorical
 		}
 		if want, known := staged[c.Property]; known && want != c.Kind {
 			return nil, fmt.Errorf("observation %d: property %q is %v, got %v value", i, c.Property, typeOf(want), typeOf(c.Kind))
@@ -438,48 +414,49 @@ func (l *claimLog) checkTypes(batch []wal.Obs) error {
 }
 
 // apply commits an already-validated batch at the given version: it
-// appends the batch to the claim log, installs the new snapshot, and
-// advances the incremental processor. This is the single code path for
-// both live ingest and WAL replay, which is what makes recovery
+// appends the batch to the claim log and builds the version, advances
+// the incremental processor by the batch's chunk, and publishes the
+// version's snapshot, warm state included. This is the single code path
+// for both live ingest and WAL replay, which is what makes recovery
 // bit-for-bit identical to the uncrashed process. l is e.log; the caller
 // holds e.mu or owns e. sp, which may be nil, receives the apply and
 // icrh stages.
 func (e *entry) apply(l *claimLog, batch []wal.Obs, version int64, sp *obs.Span) {
 	l.add(batch)
-	e.publish(l, version)
+	d := l.b.Build()
 	sp.Mark(ingestApply)
 
 	chunk := l.chunk(batch, int(version))
 	truths := e.proc.Process(chunk)
-	weights := e.proc.Weights()
-
-	e.warmMu.Lock()
-	M := chunk.NumProps()
-	for i := 0; i < chunk.NumObjects(); i++ {
-		for m := 0; m < M; m++ {
-			v, ok := truths.GetAt(i, m)
-			if !ok {
-				continue
-			}
-			p := chunk.Prop(m)
-			wv := warmVal{typ: p.Type}
-			if p.Type == data.Categorical {
-				wv.cat = p.CatName(int(v.C))
-			} else {
-				wv.f = v.F
-			}
-			e.warmTruths[warmKey{chunk.ObjectName(i), p.Name}] = wv
-		}
-	}
-	e.warmWeights = weights
-	e.warmSources = l.sourceNames()
-	e.chunks++
-	// Recorded inside the same critical section as the truths/weights it
-	// describes, so a WarmState reader can never pair this batch's
-	// version with an earlier batch's state (or vice versa).
-	e.warmVersion = version
-	e.warmMu.Unlock()
+	prev := e.snap.Load()
+	e.snap.Store(&Snapshot{
+		Version:  version,
+		Data:     d,
+		HasTruth: prev.HasTruth,
+		warm:     l.warmTruths(prev.warm, d, chunk, truths),
+		weights:  e.proc.Weights(),
+		chunks:   e.proc.Chunks(),
+	})
 	sp.Mark(ingestICRH)
+}
+
+// warmTruths returns the warm truths prev holds, re-indexed like d, with
+// the chunk's truths set over them. The chunk interned the log's
+// properties first, so chunk property m is d's property m; its objects
+// and categories are found by name in the log, where add interned them.
+func (l *claimLog) warmTruths(prev *data.Table, d, chunk *data.Dataset, truths *data.Table) *data.Table {
+	t := data.NewTableFor(d)
+	if prev != nil {
+		prev.ForEach(func(e int, v data.Value) { t.SetAt(e/prev.M, e%prev.M, v) })
+	}
+	truths.ForEach(func(e int, v data.Value) {
+		m := chunk.EntryProp(e)
+		if p := chunk.Prop(m); p.Type == data.Categorical {
+			v = data.Cat(l.b.CatValue(m, p.CatName(int(v.C))))
+		}
+		t.SetAt(l.b.Object(chunk.ObjectName(chunk.EntryObject(e))), m, v)
+	})
+	return t
 }
 
 // chunk materializes the batch as an I-CRH chunk. All sources and
@@ -517,30 +494,21 @@ func (l *claimLog) chunk(batch []wal.Obs, defaultTS int) *data.Dataset {
 // accumulated by live ingest, without any recomputation: the values are
 // maintained chunk-by-chunk as batches arrive. chunks is the number of
 // batches processed and version the snapshot version the state
-// corresponds to — returned from the same critical section so callers
-// never observe a version newer than the truths it labels. Weights are
-// keyed by source name.
+// corresponds to — all read from one snapshot, so callers never observe
+// a version newer than the truths it labels. Weights are keyed by source
+// name.
 func (e *entry) WarmState() (version int64, truths []TruthJSON, weights map[string]float64, chunks int) {
-	e.warmMu.RLock()
-	defer e.warmMu.RUnlock()
-	truths = make([]TruthJSON, 0, len(e.warmTruths))
-	for k, v := range e.warmTruths {
-		t := TruthJSON{Object: k.obj, Property: k.prop}
-		if v.typ == data.Categorical {
-			t.Value = TruthValue{IsCat: true, Cat: v.cat}
-		} else {
-			t.Value = TruthValue{F: v.f}
-		}
-		truths = append(truths, t)
-	}
+	s := e.Snapshot()
+	truths = []TruthJSON{}
+	s.eachWarm(func(object, property string, v TruthValue) {
+		truths = append(truths, TruthJSON{Object: object, Property: property, Value: v})
+	})
 	sortTruths(truths)
-	weights = make(map[string]float64, len(e.warmWeights))
-	for k, w := range e.warmWeights {
-		if k < len(e.warmSources) {
-			weights[e.warmSources[k]] = w
-		}
+	weights = make(map[string]float64, len(s.weights))
+	for k, w := range s.weights[:min(len(s.weights), s.Data.NumSources())] {
+		weights[s.Data.SourceName(k)] = w
 	}
-	return e.warmVersion, truths, weights, e.chunks
+	return s.Version, truths, weights, s.chunks
 }
 
 // Count returns the number of registered datasets.
@@ -558,13 +526,14 @@ func (r *Registry) Get(name string) (*entry, bool) {
 	return e, ok
 }
 
-// Delete removes name from the registry, releases the entry's resources
-// (claim log, ground truth, warm I-CRH state, WAL handle), and
-// removes its on-disk state in durable mode. Inflight resolves holding
-// the entry's snapshot finish unaffected — the snapshot pointer stays
-// valid — but later ingest through a stale handle reports not-found.
-// The registry lock is held across the disk removal so a racing Create
-// of the same name can never observe leftover on-disk state.
+// Delete removes name from the registry, releases the entry's claim
+// log, ground truth, I-CRH processor and WAL handle, and removes its
+// on-disk state in durable mode. Inflight resolves holding the entry's
+// snapshot finish unaffected — the snapshot, with its warm state and
+// results, stays valid until the last request holding it is done — but
+// later ingest through a stale handle reports not-found. The registry
+// lock is held across the disk removal so a racing Create of the same
+// name can never observe leftover on-disk state.
 func (r *Registry) Delete(name string) (bool, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -581,11 +550,6 @@ func (r *Registry) Delete(name string) (bool, error) {
 	dlog := e.dlog
 	e.dlog = nil
 	e.mu.Unlock()
-
-	e.warmMu.Lock()
-	e.warmTruths = nil
-	e.warmWeights, e.warmSources = nil, nil
-	e.warmMu.Unlock()
 
 	if dlog != nil {
 		//lint:ignore errflow the dataset's on-disk state is removed next; a close failure cannot lose data the Remove keeps
@@ -620,9 +584,6 @@ type DatasetInfo struct {
 // Info describes the entry's current snapshot.
 func (e *entry) Info() DatasetInfo {
 	s := e.Snapshot()
-	e.warmMu.RLock()
-	chunks := e.chunks
-	e.warmMu.RUnlock()
 	return DatasetInfo{
 		Name:         e.name,
 		Version:      s.Version,
@@ -631,25 +592,42 @@ func (e *entry) Info() DatasetInfo {
 		Properties:   s.Data.NumProps(),
 		Observations: s.Data.NumObservations(),
 		HasTruth:     s.HasTruth,
-		Chunks:       chunks,
+		Chunks:       s.chunks,
 	}
 }
 
-// List describes every registered dataset, sorted by name.
-func (r *Registry) List() []DatasetInfo {
+// sorted returns the registered entries in name order.
+func (r *Registry) sorted() []*entry {
 	r.mu.RLock()
 	entries := make([]*entry, 0, len(r.entries))
 	for _, e := range r.entries {
 		entries = append(entries, e)
 	}
 	r.mu.RUnlock()
-	// Sort the entries themselves, not the derived infos: the map-range
-	// collection above has no order, and sorting before the reads keeps
-	// the whole pipeline order-independent (maporder checks exactly this).
+	// Sort the entries themselves: the map-range collection above has no
+	// order (maporder checks exactly this).
 	sort.Slice(entries, func(i, j int) bool { return entries[i].name < entries[j].name })
+	return entries
+}
+
+// List describes every registered dataset, sorted by name.
+func (r *Registry) List() []DatasetInfo {
+	entries := r.sorted()
 	infos := make([]DatasetInfo, len(entries))
 	for i, e := range entries {
 		infos[i] = e.Info()
 	}
 	return infos
+}
+
+// cachedResults counts the finished resolve results the registered
+// datasets' current snapshots keep.
+func (r *Registry) cachedResults() int {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	n := 0
+	for _, e := range r.entries {
+		n += e.Snapshot().results.len()
+	}
+	return n
 }

@@ -2,6 +2,8 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -9,6 +11,7 @@ import (
 	"github.com/crhkit/crh/internal/core"
 	"github.com/crhkit/crh/internal/data"
 	"github.com/crhkit/crh/internal/stream"
+	"github.com/crhkit/crh/internal/wal"
 )
 
 const testTSV = `# two-source toy dataset
@@ -76,18 +79,6 @@ func TestRegistryCreateListDelete(t *testing.T) {
 	}
 	if _, ok := r.Get("empty"); ok {
 		t.Fatal("deleted dataset still resolvable")
-	}
-}
-
-// TestRegistryUIDsNeverReused: a deleted-then-recreated name must get a
-// fresh uid, or stale cache entries could alias the new dataset.
-func TestRegistryUIDsNeverReused(t *testing.T) {
-	r := NewRegistry(1)
-	e1, _ := r.Create("d", strings.NewReader(testTSV))
-	r.Delete("d")
-	e2, _ := r.Create("d", strings.NewReader(testTSV))
-	if e1.uid == e2.uid {
-		t.Fatalf("uid %d reused", e1.uid)
 	}
 }
 
@@ -380,10 +371,10 @@ func TestConcurrentIngestAndResolve(t *testing.T) {
 // TestConcurrentWarmStateVersion is the torn-read regression test for
 // the incremental endpoint: version and warm state must come from one
 // atomic read. The invariant version == chunks+1 holds at every instant
-// (1 at create, both advance together under warmMu per ingest); the old
-// code read e.Snapshot().Version separately from WarmState, so under
-// -race-with-ingest it could pair a new version with old truths and
-// break the invariant. Run under make racehammer.
+// (1 at create, both advance together in each ingest's snapshot); code
+// that read the version apart from the warm state could, under
+// -race-with-ingest, pair a new version with old truths and break the
+// invariant. Run under make racehammer.
 func TestConcurrentWarmStateVersion(t *testing.T) {
 	r := NewRegistry(1)
 	e, err := r.Create("d", strings.NewReader(testTSV))
@@ -435,5 +426,88 @@ func TestConcurrentWarmStateVersion(t *testing.T) {
 	version, _, _, chunks := e.WarmState()
 	if version != int64(rounds)+1 || chunks != rounds {
 		t.Fatalf("final warm state: version %d chunks %d, want %d/%d", version, chunks, rounds+1, rounds)
+	}
+}
+
+// TestValidateBatchValues: an observation's value is a JSON number
+// (continuous) or string (categorical) and nothing else; truth values
+// decode by the same rule.
+func TestValidateBatchValues(t *testing.T) {
+	cases := []struct {
+		raw  string // "" is a missing value
+		ok   bool
+		want TruthValue
+	}{
+		{`null`, false, TruthValue{}},
+		{`true`, false, TruthValue{}},
+		{`false`, false, TruthValue{}},
+		{`{}`, false, TruthValue{}},
+		{`[1]`, false, TruthValue{}},
+		{``, false, TruthValue{}},
+		{`1e400`, false, TruthValue{}},
+		{`-1e400`, false, TruthValue{}},
+		{`"x"`, true, TruthValue{IsCat: true, Cat: "x"}},
+		{`""`, true, TruthValue{IsCat: true}},
+		{`"a\"b\\cé😀"`, true, TruthValue{IsCat: true, Cat: "a\"b\\cé😀"}},
+		{"\"\xff\"", true, TruthValue{IsCat: true, Cat: "�"}},
+		{`12`, true, TruthValue{F: 12}},
+		{`-0`, true, TruthValue{F: math.Copysign(0, -1)}},
+		{`2.5e-3`, true, TruthValue{F: 2.5e-3}},
+	}
+	for _, tc := range cases {
+		batch := []Observation{{Source: "s", Object: "o", Property: "p", Value: json.RawMessage(tc.raw)}}
+		if tc.raw == "" {
+			batch[0].Value = nil
+		}
+		claims, err := validateBatch(batch)
+		if (err == nil) != tc.ok {
+			t.Errorf("value %s: err %v, want ok %v", tc.raw, err, tc.ok)
+			continue
+		}
+		var tv TruthValue
+		uerr := tv.UnmarshalJSON([]byte(tc.raw))
+		if (uerr == nil) != tc.ok {
+			t.Errorf("truth value %s: err %v, want ok %v", tc.raw, uerr, tc.ok)
+		}
+		if !tc.ok {
+			if want := "observation 0: value must be a JSON number (continuous) or string (categorical)"; err.Error() != want {
+				t.Errorf("value %s: error %q, want %q", tc.raw, err, want)
+			}
+			continue
+		}
+		c := claims[0]
+		got := TruthValue{IsCat: c.Kind == wal.Categorical, F: c.F, Cat: c.Cat}
+		if got != tc.want || math.Signbit(got.F) != math.Signbit(tc.want.F) || tv != got {
+			t.Errorf("value %s: claim %+v, truth value %+v, want %+v", tc.raw, got, tv, tc.want)
+		}
+		// The decode agrees with encoding/json's.
+		var std any
+		if err := json.Unmarshal([]byte(tc.raw), &std); err != nil || (tc.want.IsCat && std != got.Cat) || (!tc.want.IsCat && std != got.F) {
+			t.Errorf("value %s: encoding/json reads %#v (err %v), validate %+v", tc.raw, std, err, got)
+		}
+	}
+}
+
+// TestValidateBatchAllocs pins the validate stage's value decode: one
+// decode per value, so a categorical batch allocates no more than a
+// continuous one of the same size.
+func TestValidateBatchAllocs(t *testing.T) {
+	cats := []string{"sunny", "rain", "snow", "hail"}
+	cont := make([]Observation, 100)
+	categ := make([]Observation, 100)
+	for i := range cont {
+		obj := fmt.Sprintf("o%d", i)
+		cont[i] = Observation{Source: "s1", Object: obj, Property: "temp", Value: num(float64(i) / 4)}
+		categ[i] = Observation{Source: "s1", Object: obj, Property: "cond", Value: str(cats[i%len(cats)])}
+	}
+	allocs := func(batch []Observation) float64 {
+		return testing.AllocsPerRun(50, func() {
+			if _, err := validateBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if c, n := allocs(categ), allocs(cont); c > n {
+		t.Fatalf("a 100-claim categorical batch allocates %v times, a continuous one %v", c, n)
 	}
 }

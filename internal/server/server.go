@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"sort"
@@ -21,7 +22,9 @@ import (
 
 // Config tunes a Server. The zero value is usable.
 type Config struct {
-	// CacheCapacity bounds the resolve result LRU (default 128 entries).
+	// CacheCapacity bounds the finished resolve results each dataset
+	// version keeps, least recently used evicted first (default 128;
+	// values below 1 keep 1).
 	CacheCapacity int
 	// Decay is the I-CRH decay rate α for warm incremental state
 	// (default 1: retain all history).
@@ -65,13 +68,14 @@ type Config struct {
 	StageLog func(StageTimings)
 }
 
-// Server is the crhd HTTP subsystem: registry + result cache + request
-// coalescing + registry-backed metrics behind a net/http handler. Create
-// with New; safe for concurrent use.
+// Server is the crhd HTTP subsystem: the dataset registry, whose
+// snapshots coalesce and keep resolve results, plus registry-backed
+// metrics behind a net/http handler. Create with New; safe for
+// concurrent use.
 type Server struct {
 	registry *Registry
-	cache    *resultCache
-	flights  *flightGroup
+	// cacheCap bounds the finished results each snapshot keeps.
+	cacheCap int
 	stats    *Stats
 	metrics  *obs.Registry
 	mux      *http.ServeMux
@@ -92,6 +96,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.CacheCapacity == 0 {
 		cfg.CacheCapacity = 128
 	}
+	cfg.CacheCapacity = max(cfg.CacheCapacity, 1)
 	if cfg.Decay == 0 {
 		cfg.Decay = 1
 	}
@@ -104,8 +109,7 @@ func New(cfg Config) (*Server, error) {
 	metrics := obs.NewRegistry()
 	s := &Server{
 		registry:      NewRegistry(cfg.Decay),
-		cache:         newResultCache(cfg.CacheCapacity),
-		flights:       newFlightGroup(),
+		cacheCap:      cfg.CacheCapacity,
 		stats:         NewStats(metrics),
 		metrics:       metrics,
 		mux:           http.NewServeMux(),
@@ -153,11 +157,11 @@ func New(cfg Config) (*Server, error) {
 	metrics.NewGaugeFunc("crhd_resolve_inflight", "resolve computations currently running", func() float64 {
 		return float64(s.inflight.Load())
 	})
-	metrics.NewGaugeFunc("crhd_cache_entries", "resolve results currently cached", func() float64 {
-		return float64(s.cache.len())
+	metrics.NewGaugeFunc("crhd_cache_entries", "finished resolve results kept by the registered datasets' current versions", func() float64 {
+		return float64(s.registry.cachedResults())
 	})
-	metrics.NewGaugeFunc("crhd_cache_capacity", "resolve result cache capacity", func() float64 {
-		return float64(s.cache.capacity())
+	metrics.NewGaugeFunc("crhd_cache_capacity", "finished resolve results each dataset version keeps at most", func() float64 {
+		return float64(s.cacheCap)
 	})
 	metrics.NewGaugeFunc("crhd_datasets", "datasets currently registered", func() float64 {
 		return float64(s.registry.Count())
@@ -256,7 +260,7 @@ func (s *Server) handleHealthzV1(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.stats.Snapshot(s.cache.len(), s.cache.capacity()))
+	writeJSON(w, http.StatusOK, s.stats.Snapshot(s.registry.cachedResults(), s.cacheCap))
 }
 
 func (s *Server) handleMethods(w http.ResponseWriter, _ *http.Request) {
@@ -365,8 +369,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 // precomputed body bytes (encode.go), never through this struct — it
 // exists as the schema of record and for clients/tests to decode into.
 type resolveEnvelope struct {
-	// Cached reports an LRU hit; Coalesced that this request shared
-	// another identical inflight request's computation.
+	// Cached reports a result the snapshot already held; Coalesced that
+	// this request shared another identical inflight request's
+	// computation.
 	Cached    bool `json:"cached"`
 	Coalesced bool `json:"coalesced"`
 	*ResolveResponse
@@ -387,12 +392,11 @@ func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "dataset %q not found", r.PathValue("name"))
 		return
 	}
+	// An empty body, however framed, selects the defaults.
 	req := &ResolveRequest{}
-	if r.ContentLength != 0 {
-		if err := json.NewDecoder(r.Body).Decode(req); err != nil {
-			writeError(w, http.StatusBadRequest, "decode resolve request: %v", err)
-			return
-		}
+	if err := json.NewDecoder(r.Body).Decode(req); err != nil && !errors.Is(err, io.EOF) {
+		writeError(w, http.StatusBadRequest, "decode resolve request: %v", err)
+		return
 	}
 	req.normalize()
 	method, err := req.validate()
@@ -404,14 +408,15 @@ func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
 
 	// The snapshot pins the dataset version for the whole computation:
 	// concurrent ingest installs new snapshots but never mutates this one.
+	// Its results table serves a finished computation, joins an in-flight
+	// one, or makes this request the leader of a new one.
 	snap := e.Snapshot()
-	key := cacheKey(e.uid, snap.Version, req)
-
-	if res, ok := s.cache.get(key); ok {
+	c, cached, leader := snap.results.get(cacheKey(req))
+	if cached {
 		s.stats.cacheHits.Add(1)
 		sp.Mark(stageCache)
 		tEnc := time.Now()
-		writeResolveEnvelope(w, envPrefixCached, res.body)
+		writeResolveEnvelope(w, envPrefixCached, c.body)
 		sp.Add(stageEncode, time.Since(tEnc))
 		s.stats.observeSpan(sp, e.name, true, false, time.Since(t0))
 		return
@@ -419,57 +424,59 @@ func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
 	s.stats.cacheMisses.Add(1)
 	sp.Mark(stageCache)
 
-	tFlight := time.Now()
-	res, err, shared := s.flights.do(key, func() (*cachedResult, error) {
-		// Leader only: everything between flight entry and solve start
-		// (flight bookkeeping, inflight registration, budget split) is
-		// queueing; the computation itself is the solve stage. A
-		// follower never runs this closure — its whole flight time is
-		// its coalesce wait, attributed below on its own span.
-		sp.Add(stageQueue, time.Since(tFlight))
-		// The worker budget is settled at compute start: the pool split
-		// by the computations then in flight. Later arrivals shrink only
-		// their own budgets (and totals are bounded by the pool anyway).
-		n := s.inflight.Add(1)
-		defer s.inflight.Add(-1)
-		tSolve := time.Now()
-		resp, err := compute(e.name, snap, req, method, s.solverBudget(n), s.pool)
-		sp.Add(stageSolve, time.Since(tSolve))
-		if err != nil {
-			return nil, err
-		}
-		if resp.Converged != nil { // a CRH computation
-			s.stats.observeSolver(resp.Iterations, *resp.Converged)
-		}
-		// The leader encodes the body exactly once, here, so the bytes are
-		// shared by the cache, every coalesced follower, and the leader's
-		// own write below. This is the only full encode per computation.
-		tEnc := time.Now()
-		res := &cachedResult{resp: resp, body: encodeResolveBody(resp)}
-		sp.Add(stageEncode, time.Since(tEnc))
-		s.cache.add(key, res)
-		return res, nil
-	})
-	if shared {
-		sp.Add(stageCoalesce, time.Since(tFlight))
+	if leader {
+		body, err := s.solve(sp, e.name, snap, req, method)
+		snap.results.finish(c, body, err, s.cacheCap)
+	} else {
+		// A follower's whole wait on the leader is its coalesce stage.
+		tWait := time.Now()
+		snap.results.wait(c)
+		sp.Add(stageCoalesce, time.Since(tWait))
 	}
-	if err != nil {
-		writeError(w, resolveErrorStatus(err), "resolve: %v", err)
+	if c.err != nil {
+		writeError(w, resolveErrorStatus(c.err), "resolve: %v", c.err)
 		return
 	}
-	if shared {
-		s.stats.coalesceFollowers.Add(1)
-	} else {
-		s.stats.coalesceLeaders.Add(1)
-	}
 	prefix := envPrefixPlain
-	if shared {
+	if leader {
+		s.stats.coalesceLeaders.Add(1)
+	} else {
+		s.stats.coalesceFollowers.Add(1)
 		prefix = envPrefixCoalesced
 	}
 	tEnc := time.Now()
-	writeResolveEnvelope(w, prefix, res.body)
+	writeResolveEnvelope(w, prefix, c.body)
 	sp.Add(stageEncode, time.Since(tEnc))
-	s.stats.observeSpan(sp, e.name, false, shared, time.Since(t0))
+	s.stats.observeSpan(sp, e.name, false, !leader, time.Since(t0))
+}
+
+// solve is a leader's computation: it runs the requested method on the
+// snapshot and encodes the response body exactly once, so the bytes are
+// shared by the snapshot's results table, every coalesced follower, and
+// the leader's own write. sp receives the queue (inflight registration
+// and budget split), solve and encode stages.
+func (s *Server) solve(sp *obs.Span, name string, snap *Snapshot, req *ResolveRequest, method baseline.Method) ([]byte, error) {
+	tQueue := time.Now()
+	// The worker budget is settled at compute start: the pool split by
+	// the computations then in flight. Later arrivals shrink only their
+	// own budgets (and totals are bounded by the pool anyway).
+	n := s.inflight.Add(1)
+	defer s.inflight.Add(-1)
+	workers := s.solverBudget(n)
+	sp.Add(stageQueue, time.Since(tQueue))
+	tSolve := time.Now()
+	resp, err := compute(name, snap, req, method, workers, s.pool)
+	sp.Add(stageSolve, time.Since(tSolve))
+	if err != nil {
+		return nil, err
+	}
+	if resp.Converged != nil { // a CRH computation
+		s.stats.observeSolver(resp.Iterations, *resp.Converged)
+	}
+	tEnc := time.Now()
+	body := encodeResolveBody(resp)
+	sp.Add(stageEncode, time.Since(tEnc))
+	return body, nil
 }
 
 // resolveErrorStatus maps a compute failure onto HTTP: a broken

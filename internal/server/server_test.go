@@ -313,8 +313,8 @@ func TestResolveCacheHit(t *testing.T) {
 	if !second.Cached {
 		t.Fatal("identical second resolve not cached")
 	}
-	snap := s.Stats().Snapshot(s.cache.len(), s.cache.capacity())
-	if snap.Cache.Hits != 1 || snap.Cache.Misses != 1 {
+	snap := s.Stats().Snapshot(s.registry.cachedResults(), s.cacheCap)
+	if snap.Cache.Hits != 1 || snap.Cache.Misses != 1 || snap.Cache.Size != 1 {
 		t.Fatalf("cache stats = %+v", snap.Cache)
 	}
 	// Different options must miss.
@@ -324,6 +324,111 @@ func TestResolveCacheHit(t *testing.T) {
 	doJSON(t, "POST", ts.URL+"/v1/datasets/d/resolve", strings.NewReader(`{"options":{"weights":"exp-sum"}}`), &third)
 	if third.Cached {
 		t.Fatal("different options served from cache")
+	}
+}
+
+// TestSupersededResultsDropped: results live on the version they were
+// computed for, so after each ingest only the current version's result
+// is kept — crhd_cache_entries and /v1/stats report one, not one per
+// version ever resolved.
+func TestSupersededResultsDropped(t *testing.T) {
+	s, ts := testServer(t)
+	mustCreate(t, ts.URL, "d", testTSV)
+	resolve := func() {
+		t.Helper()
+		if code := doJSON(t, "POST", ts.URL+"/v1/datasets/d/resolve", strings.NewReader(`{}`), nil); code != 200 {
+			t.Fatalf("resolve: status %d", code)
+		}
+	}
+	resolve()
+	for i := 0; i < 3; i++ {
+		body := fmt.Sprintf(`{"observations":[{"source":"s3","object":"o%d","property":"temp","value":%d}]}`, 3+i, 20+i)
+		if code := doJSON(t, "POST", ts.URL+"/v1/datasets/d/observations", strings.NewReader(body), nil); code != 200 {
+			t.Fatalf("ingest %d: status %d", i, code)
+		}
+		resolve()
+	}
+	var stats StatsSnapshot
+	doJSON(t, "GET", ts.URL+"/v1/stats", nil, &stats)
+	if stats.Cache.Size != 1 || stats.Cache.Misses != 4 {
+		t.Fatalf("cache = %+v, want size 1 after 4 misses", stats.Cache)
+	}
+	var exp strings.Builder
+	if err := s.metrics.WritePrometheus(&exp); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(exp.String(), "crhd_cache_entries 1\n") {
+		t.Fatalf("exposition lacks crhd_cache_entries 1:\n%s", exp.String())
+	}
+}
+
+// TestRecreatedDatasetResolvesFresh: a deleted dataset's results go with
+// its snapshots, so a dataset recreated under the same name with other
+// claims is computed afresh, never served the old dataset's result.
+func TestRecreatedDatasetResolvesFresh(t *testing.T) {
+	_, ts := testServer(t)
+	type envelope struct {
+		Cached bool `json:"cached"`
+		ResolveResponse
+	}
+	resolve := func() envelope {
+		t.Helper()
+		var env envelope
+		if code := doJSON(t, "POST", ts.URL+"/v1/datasets/d/resolve", strings.NewReader(`{}`), &env); code != 200 {
+			t.Fatalf("resolve: status %d", code)
+		}
+		return env
+	}
+	mustCreate(t, ts.URL, "d", testTSV)
+	if first, second := resolve(), resolve(); first.Cached || !second.Cached {
+		t.Fatalf("cached flags %v/%v, want false/true", first.Cached, second.Cached)
+	}
+	if code := doJSON(t, "DELETE", ts.URL+"/v1/datasets/d", nil, nil); code != http.StatusNoContent {
+		t.Fatalf("delete: status %d", code)
+	}
+	const other = "P\ttemp\tcontinuous\nV\to1\ttemp\ts1\t40\nV\to1\ttemp\ts2\t40\n"
+	mustCreate(t, ts.URL, "d", other)
+	env := resolve()
+	if env.Cached || env.Version != 1 {
+		t.Fatalf("recreated dataset: cached %v at version %d, want a fresh computation at 1", env.Cached, env.Version)
+	}
+	if len(env.Truths) != 1 || env.Truths[0].Object != "o1" || env.Truths[0].Value.F != 40 {
+		t.Fatalf("recreated dataset's truths = %+v, want o1/temp = 40", env.Truths)
+	}
+}
+
+// TestResolveEmptyChunkedBody: an empty body of undeclared length
+// selects the defaults, as no body or Content-Length: 0 does.
+func TestResolveEmptyChunkedBody(t *testing.T) {
+	s, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var length int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		length = r.ContentLength
+		s.Handler().ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	mustCreate(t, ts.URL, "d", testTSV)
+
+	// A reader of unknown length makes the client send the body chunked.
+	var env struct {
+		Cached bool `json:"cached"`
+		ResolveResponse
+	}
+	if code := doJSON(t, "POST", ts.URL+"/v1/datasets/d/resolve", io.MultiReader(), &env); code != 200 {
+		t.Fatalf("empty chunked body: status %d", code)
+	}
+	if length != -1 {
+		t.Fatalf("request declared Content-Length %d; the test needs an undeclared length", length)
+	}
+	if env.Method != MethodCRH || env.Converged == nil {
+		t.Fatalf("empty chunked body did not select the CRH defaults: %+v", env.ResolveResponse)
+	}
+	// The defaults are the {} request's: the next {} resolve is a hit.
+	if doJSON(t, "POST", ts.URL+"/v1/datasets/d/resolve", strings.NewReader(`{}`), &env); !env.Cached {
+		t.Fatal("{} after an empty chunked body missed the cache")
 	}
 }
 
@@ -536,6 +641,7 @@ func TestIngestErrors(t *testing.T) {
 		`not json`,
 		`{"observations":[]}`,
 		`{"observations":[{"source":"s1","object":"o1","property":"cond","value":3}]}`,
+		`{"observations":[{"source":"s9","object":"o1","property":"temp","value":null}]}`,
 	} {
 		if code := doJSON(t, "POST", ts.URL+"/v1/datasets/d/observations", strings.NewReader(body), nil); code != http.StatusBadRequest {
 			t.Fatalf("body %q: status %d, want 400", body, code)

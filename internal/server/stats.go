@@ -30,9 +30,9 @@ var iterationBounds = []float64{1, 2, 3, 5, 8, 12, 20, 30, 50, 100, 200, 500}
 // request's own wall time, not machine work.
 const (
 	stageDecode   obs.Stage = iota // path lookup, body decode, validation
-	stageCache                     // result-cache probe
+	stageCache                     // results-table probe: hit, join an inflight computation, or lead a new one
 	stageCoalesce                  // follower's wait on an identical inflight leader
-	stageQueue                     // leader's delay between flight entry and solve start
+	stageQueue                     // leader's delay between the probe and solve start
 	stageSolve                     // the CRH/baseline computation itself
 	stageEncode                    // response shaping and JSON write
 	numStages
@@ -52,8 +52,8 @@ const (
 	ingestDecode   obs.Stage = iota // path lookup and body decode
 	ingestValidate                  // batch validation, including the wait for the dataset's lock
 	ingestWAL                       // WAL append, plus the checkpoint every SnapshotEvery batches
-	ingestApply                     // claim-log append and the new version's snapshot build
-	ingestICRH                      // the batch's I-CRH chunk and the warm-state update
+	ingestApply                     // claim-log append and the new version's build
+	ingestICRH                      // the batch's I-CRH chunk, the warm truths, and the snapshot publish
 	numIngestStages
 )
 
@@ -288,8 +288,9 @@ type StatsSnapshot struct {
 		Deletes      int64 `json:"deletes"`
 	} `json:"requests"`
 
-	// Cache reports the resolve result cache's hit/miss counters and
-	// occupancy.
+	// Cache reports resolve result hits and misses, the finished results
+	// the registered datasets' current versions keep (Size), and the
+	// bound on each version's (Capacity).
 	Cache struct {
 		Hits     int64   `json:"hits"`
 		Misses   int64   `json:"misses"`
@@ -319,7 +320,7 @@ type StatsSnapshot struct {
 }
 
 // Snapshot captures the current counters. cacheSize/cacheCap describe the
-// result cache, which Stats does not own.
+// snapshots' results tables, which Stats does not own.
 func (s *Stats) Snapshot(cacheSize, cacheCap int) StatsSnapshot {
 	var out StatsSnapshot
 	out.UptimeSeconds = time.Since(s.start).Seconds()

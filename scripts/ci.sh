@@ -21,7 +21,10 @@
 #                      against it: zero request errors and populated
 #                      per-stage latency histograms (docs/LOAD.md)
 #   8. allocation pins the AllocsPerRun pins on the resolve encode /
-#                      cached-bytes serve paths, the solver's
+#                      cached-bytes serve paths and on ingest's value
+#                      decode (a categorical batch allocates no more
+#                      than a continuous one: one decode per value),
+#                      the solver's
 #                      zero-allocation-per-iteration contract (default
 #                      config, every built-in scheme, the Huber and
 #                      Bregman losses), the weighted median's (fallbacks
@@ -35,7 +38,9 @@
 #                      memory pins (a finished multi-worker run keeps no
 #                      Prepared reachable, nor does a pool offer no
 #                      worker took; a built Dataset owns its
-#                      category dictionaries), the incremental Build's
+#                      category dictionaries; crhd keeps only the
+#                      current version's resolve results, not one per
+#                      version ever resolved), the incremental Build's
 #                      allocations (a Build after a few new rows sorts
 #                      only those rows: no scratch per logged row), on
 #                      their own so a regression in any of these paths
@@ -83,8 +88,8 @@ make fuzz FUZZTIME=5s
 echo "==> loadcheck (serve-path smoke)"
 make loadcheck
 
-echo "==> allocation and memory pins (encode, solver iterations and passes, I-CRH chunk scan, weighted median, weight schemes, loss scratch contract, run retention, dictionary copies, incremental Build)"
-go test -run 'TestEncodeAllocs' -count=1 ./internal/server/
+echo "==> allocation and memory pins (encode, ingest value decode, result retention, solver iterations and passes, I-CRH chunk scan, weighted median, weight schemes, loss scratch contract, run retention, dictionary copies, incremental Build)"
+go test -run 'TestEncodeAllocs|TestValidateBatchAllocs|TestSupersededResultsDropped' -count=1 ./internal/server/
 go test -run 'TestSolverIterationAllocFree|TestSolverRunReusesPrepared|TestParallelRunReleasesPrepared|TestPoolReleasesUntakenOffers|TestRunScoringPasses' -count=1 ./internal/core/
 go test -run 'TestProcessScansChunkOnce' -count=1 ./internal/stream/
 go test -run 'TestWeightedMedianBufAllocFree' -count=1 ./internal/stats/
