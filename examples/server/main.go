@@ -1,7 +1,7 @@
-// Server example: truth discovery as a service. Launches the crhd
-// binary (via go run) on an ephemeral port — the server subsystem is
-// private to cmd/crhd, so clients, this example included, speak only its
-// HTTP API — then drives it as a client would:
+// Server example: truth discovery as a service. Builds the crhd binary
+// into a temporary directory and starts it on an ephemeral port — the
+// server subsystem is private to cmd/crhd, so clients, this example
+// included, speak only its HTTP API — then drives it as a client would:
 //
 //  1. create a dataset from the TSV codec format,
 //  2. resolve it with CRH and with a baseline,
@@ -26,6 +26,7 @@ import (
 	"net/http"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"sync"
 	"time"
@@ -49,29 +50,20 @@ V	bos/07-01	condition	accuview	storm
 
 func main() {
 	// 0. Boot crhd on an ephemeral port and wait for its listen line.
-	cmd := exec.Command("go", "run", "github.com/crhkit/crh/cmd/crhd",
-		"-addr", "127.0.0.1:0", "-cache", "64", "-decay", "0.9")
-	stderr, err := cmd.StderrPipe()
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := cmd.Start(); err != nil {
-		log.Fatal(err)
-	}
-	defer stop(cmd)
-	base := awaitListen(stderr)
-	fmt.Println("crhd serving on", base)
+	srv := startServer()
+	defer srv.stop()
+	fmt.Println("crhd serving on", srv.base)
 
 	// 1. Create a dataset from the TSV codec.
-	post("POST", base+"/v1/datasets/weather", weatherTSV)
+	srv.post("/v1/datasets/weather", weatherTSV)
 	fmt.Println("\n-- created dataset 'weather'")
-	show(get(base + "/v1/datasets/weather"))
+	show(srv.get("/v1/datasets/weather"))
 
 	// 2. Resolve with CRH defaults, then with the Voting baseline.
 	fmt.Println("\n-- CRH resolve")
-	show(post("POST", base+"/v1/datasets/weather/resolve", `{}`))
+	show(srv.post("/v1/datasets/weather/resolve", `{}`))
 	fmt.Println("\n-- Voting baseline (same registry as crh.Baselines)")
-	show(post("POST", base+"/v1/datasets/weather/resolve", `{"method":"Voting"}`))
+	show(srv.post("/v1/datasets/weather/resolve", `{"method":"Voting"}`))
 
 	// 3. Concurrent identical requests coalesce into one computation.
 	var wg sync.WaitGroup
@@ -79,7 +71,7 @@ func main() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			post("POST", base+"/v1/datasets/weather/resolve", `{"options":{"weights":"exp-sum"}}`)
+			srv.post("/v1/datasets/weather/resolve", `{"options":{"weights":"exp-sum"}}`)
 		}()
 	}
 	wg.Wait()
@@ -88,7 +80,7 @@ func main() {
 	// 4. Live ingest: a new day of observations arrives. The registry
 	// appends it, bumps the version, and advances warm I-CRH state;
 	// resolves on the old version were never blocked.
-	post("POST", base+"/v1/datasets/weather/observations", `{"observations":[
+	srv.post("/v1/datasets/weather/observations", `{"observations":[
 		{"source":"wunderground","object":"nyc/07-02","property":"high_temp","value":88},
 		{"source":"hamweather","object":"nyc/07-02","property":"high_temp","value":82},
 		{"source":"accuview","object":"nyc/07-02","property":"high_temp","value":87},
@@ -97,19 +89,55 @@ func main() {
 		{"source":"accuview","object":"nyc/07-02","property":"condition","value":"sunny"}
 	]}`)
 	fmt.Println("\n-- ingested 6 observations; resolve at the new version")
-	show(post("POST", base+"/v1/datasets/weather/resolve", `{}`))
+	show(srv.post("/v1/datasets/weather/resolve", `{}`))
 
 	fmt.Println("\n-- warm incremental (I-CRH) state, maintained chunk by chunk")
-	show(get(base + "/v1/datasets/weather/incremental"))
+	show(srv.get("/v1/datasets/weather/incremental"))
 
 	// 5. Operational stats.
 	fmt.Println("\n-- /v1/stats")
-	show(get(base + "/v1/stats"))
+	show(srv.get("/v1/stats"))
+}
+
+// server is the crhd process the example drives. Every exit path stops
+// it: main defers stop, and fatalf stops it before exiting.
+type server struct {
+	base string
+	dir  string // holds the crhd binary
+	cmd  *exec.Cmd
+	once sync.Once
+}
+
+// startServer builds crhd into a temporary directory and starts that
+// binary, so the signal stop sends reaches crhd itself, not a go run
+// wrapper that would leave it running.
+func startServer() *server {
+	dir, err := os.MkdirTemp("", "crhd-example")
+	if err != nil {
+		log.Fatal(err)
+	}
+	srv := &server{dir: dir}
+	bin := filepath.Join(dir, "crhd")
+	build := exec.Command("go", "build", "-o", bin, "github.com/crhkit/crh/cmd/crhd")
+	build.Stderr = os.Stderr
+	if err := build.Run(); err != nil {
+		srv.fatalf("build crhd (is the go tool on PATH?): %v", err)
+	}
+	srv.cmd = exec.Command(bin, "-addr", "127.0.0.1:0", "-cache", "64", "-decay", "0.9")
+	stderr, err := srv.cmd.StderrPipe()
+	if err != nil {
+		srv.fatalf("crhd stderr: %v", err)
+	}
+	if err := srv.cmd.Start(); err != nil {
+		srv.fatalf("start crhd: %v", err)
+	}
+	srv.base = srv.awaitListen(stderr)
+	return srv
 }
 
 // awaitListen scans crhd's stderr for the listen line, returns the base
 // URL, and keeps draining the pipe in the background.
-func awaitListen(stderr io.Reader) string {
+func (srv *server) awaitListen(stderr io.Reader) string {
 	sc := bufio.NewScanner(stderr)
 	for sc.Scan() {
 		line := sc.Text()
@@ -121,50 +149,62 @@ func awaitListen(stderr io.Reader) string {
 			return "http://" + strings.TrimSpace(addr)
 		}
 	}
-	log.Fatalf("crhd exited before listening (is the go tool on PATH?): %v", sc.Err())
+	srv.fatalf("crhd exited before listening: %v", sc.Err())
 	return ""
 }
 
-// stop shuts crhd down: interrupt (which go run forwards) for a
-// graceful exit, then a hard kill if it lingers.
-func stop(cmd *exec.Cmd) {
-	_ = cmd.Process.Signal(os.Interrupt)
-	done := make(chan struct{})
-	go func() { _ = cmd.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		_ = cmd.Process.Kill()
-		<-done
-	}
+// stop shuts crhd down, interrupting it for a graceful exit and killing
+// it if it lingers, then removes its directory. Later and concurrent
+// calls wait for the first to finish.
+func (srv *server) stop() {
+	srv.once.Do(func() {
+		if srv.cmd != nil && srv.cmd.Process != nil {
+			_ = srv.cmd.Process.Signal(os.Interrupt)
+			done := make(chan struct{})
+			go func() { _ = srv.cmd.Wait(); close(done) }()
+			select {
+			case <-done:
+			case <-time.After(5 * time.Second):
+				_ = srv.cmd.Process.Kill()
+				<-done
+			}
+		}
+		_ = os.RemoveAll(srv.dir)
+	})
 }
 
-func get(url string) []byte {
-	resp, err := http.Get(url)
+// fatalf stops crhd, then logs the failure and exits.
+func (srv *server) fatalf(format string, args ...any) {
+	srv.stop()
+	log.Fatalf(format, args...)
+}
+
+func (srv *server) get(path string) []byte {
+	resp, err := http.Get(srv.base + path)
 	if err != nil {
-		log.Fatal(err)
+		srv.fatalf("GET %s: %v", path, err)
 	}
 	defer resp.Body.Close()
 	b, _ := io.ReadAll(resp.Body)
 	if resp.StatusCode >= 300 {
-		log.Fatalf("GET %s: %d %s", url, resp.StatusCode, b)
+		srv.fatalf("GET %s: %d %s", path, resp.StatusCode, b)
 	}
 	return b
 }
 
-func post(method, url, body string) []byte {
-	req, err := http.NewRequest(method, url, strings.NewReader(body))
+func (srv *server) post(path, body string) []byte {
+	req, err := http.NewRequest("POST", srv.base+path, strings.NewReader(body))
 	if err != nil {
-		log.Fatal(err)
+		srv.fatalf("POST %s: %v", path, err)
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		log.Fatal(err)
+		srv.fatalf("POST %s: %v", path, err)
 	}
 	defer resp.Body.Close()
 	b, _ := io.ReadAll(resp.Body)
 	if resp.StatusCode >= 300 {
-		log.Fatalf("%s %s: %d %s", method, url, resp.StatusCode, b)
+		srv.fatalf("POST %s: %d %s", path, resp.StatusCode, b)
 	}
 	return b
 }

@@ -99,7 +99,7 @@ func TestSolverIterationAllocFree(t *testing.T) {
 
 // TestSolverIterationAllocFreeProbabilistic pins the same contract on
 // the probabilistic categorical path (squared-prob distributions in the
-// per-entry arena) with the exp-sum scheme.
+// workers' scratch) with the exp-sum scheme.
 func TestSolverIterationAllocFreeProbabilistic(t *testing.T) {
 	d := synthesize(equivCase{"mixed", 2, 2, 10, 200, 0.25}, 43)
 	p := Prepare(d)
@@ -131,8 +131,8 @@ func TestSolverRunReusesPrepared(t *testing.T) {
 		})
 	}
 	a, b := measure(small), measure(big)
-	// 16× the entries must not mean 16× the allocations: allow the dist
-	// table header and truth table growth, nothing per-claim.
+	// 16× the entries must not mean 16× the allocations: allow the truth
+	// table growth, nothing per-claim.
 	if b > a*4 {
 		t.Fatalf("run allocations scale with dataset size: %0.f (small) vs %.0f (16x entries)", a, b)
 	}
@@ -180,7 +180,7 @@ func TestPoolReleasesUntakenOffers(t *testing.T) {
 	go func() {
 		defer close(unparked)
 		// The caller holds task 0, so tasks 1 and 2 park both workers.
-		pool.Do(3, 3, func(int) {
+		pool.Do(3, 3, func(int, int) {
 			parked <- struct{}{}
 			<-release
 		})
@@ -212,5 +212,5 @@ func TestPoolReleasesUntakenOffers(t *testing.T) {
 func doCaptured(pool *Pool, released *atomic.Int32) {
 	obj := new([1 << 10]byte)
 	runtime.SetFinalizer(obj, func(*[1 << 10]byte) { released.Add(1) })
-	pool.Do(2, 2, func(i int) { obj[i]++ })
+	pool.Do(2, 2, func(_, i int) { obj[i]++ })
 }

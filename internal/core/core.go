@@ -20,7 +20,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"github.com/crhkit/crh/internal/data"
 	"github.com/crhkit/crh/internal/loss"
@@ -58,8 +57,8 @@ type Config struct {
 	// Pool optionally supplies a reusable worker pool shared across
 	// runs (see NewPool). Concurrent Run calls may share one pool; the
 	// pool size then bounds total solver concurrency while Workers
-	// bounds each run's share of it. Nil spawns transient goroutines
-	// per run.
+	// bounds each run's share of it. Nil starts transient helper
+	// goroutines for each parallel region.
 	Pool *Pool
 	// Tol is the relative objective-decrease threshold for convergence.
 	// Defaults to 1e-6.
@@ -74,10 +73,6 @@ type Config struct {
 	// DisableCountNormalization stops dividing each source's loss by its
 	// observation count (Section 2.5, "Missing values"). Defaults to on.
 	DisableCountNormalization bool
-
-	// InitTruths seeds the truth table instead of the default
-	// uniform-weight aggregation (voting / median).
-	InitTruths *data.Table
 
 	// KnownTruths pins entries whose true value is already known
 	// (semi-supervised operation): pinned entries are never re-estimated
@@ -146,11 +141,6 @@ type Result struct {
 	// update: index 0 is iteration 1's (the initialization pass records
 	// none).
 	Objective []float64
-	// IterTime records each iteration's wall time (weight update, truth
-	// update, and objective evaluation together), aligned with
-	// Objective. Always populated — convergence-versus-cost analyses
-	// need it whether or not a Trace is installed.
-	IterTime []time.Duration
 	// Iterations is the number of weight/truth iterations executed.
 	Iterations int
 	// Converged reports whether the tolerance was met before MaxIters.

@@ -127,15 +127,6 @@ func TestRunRecoversPlantedTruths(t *testing.T) {
 	if res.Iterations == 0 || len(res.Objective) != res.Iterations {
 		t.Fatalf("iterations=%d objectives=%d", res.Iterations, len(res.Objective))
 	}
-	// Wall time is recorded alongside every objective sample.
-	if len(res.IterTime) != res.Iterations {
-		t.Fatalf("iterations=%d timings=%d", res.Iterations, len(res.IterTime))
-	}
-	for i, d := range res.IterTime {
-		if d < 0 {
-			t.Fatalf("iteration %d has negative wall time %v", i, d)
-		}
-	}
 }
 
 func TestCRHBeatsUnweightedBaselines(t *testing.T) {
@@ -314,21 +305,6 @@ func TestAllSourcesAgree(t *testing.T) {
 		if w != res.Weights[0] {
 			t.Fatalf("agreeing sources should have equal weights: %v", res.Weights)
 		}
-	}
-}
-
-func TestInitTruths(t *testing.T) {
-	d, gt := planted(t, 6, 3, 3, 40)
-	res, err := Run(d, Config{InitTruths: gt})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Truths.Count() == 0 {
-		t.Fatal("no truths")
-	}
-	// Seeding with the ground truth must not hurt: good sources dominate.
-	if !(res.Weights[0] > res.Weights[5]) {
-		t.Fatalf("weights = %v", res.Weights)
 	}
 }
 

@@ -42,29 +42,44 @@ var equivGrid = []equivCase{
 
 // synthesize builds one grid dataset: a planted truth per entry, sources
 // of graduated reliability, and a deterministic seeded corruption model.
+// Every categorical property has five categories.
 func synthesize(c equivCase, seed int64) *data.Dataset {
+	return synthesizeCats(c, seed, nil)
+}
+
+// synthesizeCats is synthesize with catSizes[i] categories on
+// categorical property i; nil gives every one five.
+func synthesizeCats(c equivCase, seed int64, catSizes []int) *data.Dataset {
 	rng := rand.New(rand.NewSource(seed))
 	b := data.NewBuilder()
 	var props []int
 	var kinds []data.Type
+	// ncats[pi] is property pi's category count; a continuous property
+	// still draws (and ignores) a category, keeping the seeded stream.
+	var ncats []int
 	for i := 0; i < c.nCont; i++ {
 		props = append(props, b.MustProperty(fmt.Sprintf("f%d", i), data.Continuous))
 		kinds = append(kinds, data.Continuous)
+		ncats = append(ncats, 5)
 	}
-	cats := []string{"a", "b", "c", "d", "e"}
 	for i := 0; i < c.nCat; i++ {
 		p := b.MustProperty(fmt.Sprintf("c%d", i), data.Categorical)
-		for _, s := range cats {
-			b.CatValue(p, s)
+		n := 5
+		if catSizes != nil {
+			n = catSizes[i]
+		}
+		for j := 0; j < n; j++ {
+			b.CatValue(p, string(rune('a'+j)))
 		}
 		props = append(props, p)
 		kinds = append(kinds, data.Categorical)
+		ncats = append(ncats, n)
 	}
 	for o := 0; o < c.objects; o++ {
 		obj := b.Object(fmt.Sprintf("obj%06d", o))
 		for pi, p := range props {
 			truthF := rng.Float64() * 100
-			truthC := rng.Intn(len(cats))
+			truthC := rng.Intn(ncats[pi])
 			for k := 0; k < c.sources; k++ {
 				if rng.Float64() < c.missing {
 					continue
@@ -76,7 +91,7 @@ func synthesize(c equivCase, seed int64) *data.Dataset {
 				} else {
 					v := truthC
 					if rng.Float64() < 0.1*noise {
-						v = rng.Intn(len(cats))
+						v = rng.Intn(ncats[pi])
 					}
 					b.ObserveIdx(src, obj, p, data.Cat(v))
 				}

@@ -198,21 +198,6 @@ func TestKnownTruthsPinning(t *testing.T) {
 	}
 }
 
-func TestKnownTruthsWithInitTruths(t *testing.T) {
-	d, gt := splitReliability(t, 4, 50)
-	known := data.NewTableFor(d)
-	v, _ := gt.Get(0)
-	known.Set(0, v)
-	res, err := Run(d, Config{InitTruths: gt, KnownTruths: known})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, ok := res.Truths.Get(0)
-	if !ok || got != v {
-		t.Fatal("pin lost when seeding with InitTruths")
-	}
-}
-
 // TestSquaredProbPinnedTruths: a pinned truth is a hard label with no
 // distribution, so the probabilistic loss must charge its claims as the
 // 0-1 loss would — agreeing claims nothing. Charging every claim 1 made
@@ -247,29 +232,6 @@ func TestSquaredProbPinnedTruths(t *testing.T) {
 	for k := range hard.Weights {
 		if math.Float64bits(soft.Weights[k]) != math.Float64bits(hard.Weights[k]) {
 			t.Fatalf("squared-prob weights %v differ from 0-1 weights %v on fully pinned truths", soft.Weights, hard.Weights)
-		}
-	}
-}
-
-// TestSquaredProbSeededTruthsScoreZeroOne: truths seeded by InitTruths
-// have no distribution until the first truth pass (their arena slots
-// are not yet published), so SquaredProb scores them as the 0-1 loss
-// does. Iteration 1's weights come from that scoring pass alone and must
-// equal ZeroOne's bit for bit; a zero-filled slot would charge every
-// claim 1.
-func TestSquaredProbSeededTruthsScoreZeroOne(t *testing.T) {
-	d, gt := splitReliability(t, 9, 60)
-	firstWeights := func(l loss.Categorical) []float64 {
-		res, err := Run(d, Config{InitTruths: gt, CategoricalLoss: l, MaxIters: 1, Tol: math.Inf(-1), Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Weights
-	}
-	prob, hard := firstWeights(loss.SquaredProb{}), firstWeights(loss.ZeroOne{})
-	for k := range hard {
-		if math.Float64bits(prob[k]) != math.Float64bits(hard[k]) {
-			t.Fatalf("source %d: seeded squared-prob weight %v, zero-one %v", k, prob[k], hard[k])
 		}
 	}
 }

@@ -32,6 +32,9 @@ type goldenCase struct {
 	name string
 	data equivCase
 	seed int64
+	// cats sizes the categorical properties' dictionaries (see
+	// synthesizeCats); nil gives every one five categories.
+	cats []int
 	cfg  func(d *data.Dataset) Config
 }
 
@@ -97,6 +100,18 @@ func goldenGrid() []goldenCase {
 					}
 				}
 				return Config{KnownTruths: known}
+			},
+		},
+		{
+			// Dictionaries of 2 and 7 categories: a probabilistic
+			// entry's distribution must span exactly its own
+			// property's categories, never the widest dictionary's.
+			name: "mixed-squaredprob-catsizes",
+			data: equivCase{"mixed", 1, 2, 10, 200, 0.25},
+			seed: 106,
+			cats: []int{2, 7},
+			cfg: func(*data.Dataset) Config {
+				return Config{CategoricalLoss: loss.SquaredProb{}}
 			},
 		},
 		{
@@ -169,7 +184,7 @@ func goldenPath(name string) string {
 func TestGoldenBitIdentity(t *testing.T) {
 	for _, gc := range goldenGrid() {
 		t.Run(gc.name, func(t *testing.T) {
-			d := synthesize(gc.data, gc.seed)
+			d := synthesizeCats(gc.data, gc.seed, gc.cats)
 			cfg := gc.cfg(d)
 			cfg.Workers = 1
 			res, err := Run(d, cfg)

@@ -2,7 +2,9 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestRunHammerSharedPool drives many concurrent Run calls through one
@@ -69,7 +71,7 @@ func TestPoolConcurrentDo(t *testing.T) {
 			defer wg.Done()
 			for round := 0; round < 4; round++ {
 				hits := make([]int, tasks)
-				pool.Do(tasks, 1+(c+round)%9, func(i int) { hits[i]++ })
+				pool.Do(tasks, 1+(c+round)%9, func(_, i int) { hits[i]++ })
 				for i, h := range hits {
 					if h != 1 {
 						t.Errorf("caller %d round %d: task %d ran %d times", c, round, i, h)
@@ -82,12 +84,42 @@ func TestPoolConcurrentDo(t *testing.T) {
 	wg.Wait()
 }
 
+// TestPoolDoSlots pins the slot contract the solver's per-worker
+// scratch relies on, for a shared pool and for a nil one, at budgets
+// 1–9: every task runs with a slot below the budget, and no two tasks
+// running at once hold the same slot. Each task holds its slot a moment
+// so that tasks of different goroutines overlap.
+func TestPoolDoSlots(t *testing.T) {
+	shared := NewPool(4)
+	defer shared.Close()
+	for _, c := range []struct {
+		name string
+		pool *Pool
+	}{{"shared", shared}, {"nil", nil}} {
+		for budget := 1; budget <= 9; budget++ {
+			busy := make([]atomic.Bool, budget)
+			c.pool.Do(64, budget, func(slot, i int) {
+				if slot < 0 || slot >= budget {
+					t.Errorf("%s pool, budget %d: task %d ran in slot %d", c.name, budget, i, slot)
+					return
+				}
+				if !busy[slot].CompareAndSwap(false, true) {
+					t.Errorf("%s pool, budget %d: task %d shares slot %d with a running task", c.name, budget, i, slot)
+					return
+				}
+				time.Sleep(20 * time.Microsecond)
+				busy[slot].Store(false)
+			})
+		}
+	}
+}
+
 // TestPoolCloseIdempotent: Close must be safe to call twice and must not
 // wedge Do calls issued before it on other goroutines' completed jobs.
 func TestPoolCloseIdempotent(t *testing.T) {
 	pool := NewPool(2)
 	done := make([]int, 64)
-	pool.Do(len(done), 4, func(i int) { done[i] = 1 })
+	pool.Do(len(done), 4, func(_, i int) { done[i] = 1 })
 	for i, v := range done {
 		if v != 1 {
 			t.Fatalf("task %d did not run", i)
@@ -101,7 +133,7 @@ func TestPoolCloseIdempotent(t *testing.T) {
 	// Do after Close must still complete: the submitting goroutine picks
 	// up every task itself when no worker accepts the job.
 	ran := 0
-	pool.Do(8, 4, func(int) { ran++ })
+	pool.Do(8, 4, func(int, int) { ran++ })
 	if ran != 8 {
 		t.Fatalf("post-Close Do ran %d of 8 tasks", ran)
 	}

@@ -55,7 +55,7 @@ func shardBounds(n, sh, nsh int) (lo, hi int) {
 //
 // The zero value is not usable; create one with NewPool. A nil *Pool is
 // valid everywhere a Pool is accepted and means "no shared pool": each
-// run spawns its own transient workers.
+// job starts its own transient helpers.
 type Pool struct {
 	workers int
 	jobs    chan *poolJob
@@ -63,24 +63,27 @@ type Pool struct {
 	once    sync.Once
 }
 
-// poolJob is one parallel region: a bag of nTasks tasks claimed via an
+// poolJob is one parallel region: a bag of n tasks claimed via an
 // atomic cursor. The submitting goroutine always works the job too, so a
 // job finishes even when every pool worker is busy elsewhere.
 type poolJob struct {
-	task func(int)
-	next atomic.Int64
-	n    int64
-	done sync.WaitGroup // one count per task
+	task  func(slot, i int)
+	next  atomic.Int64
+	slots atomic.Int64 // slots handed out so far
+	n     int64
+	done  sync.WaitGroup // one count per task
 }
 
-// run claims tasks until the bag is empty.
+// run takes the job's next slot and claims tasks until the bag is
+// empty. Each goroutine working the job calls it once.
 func (j *poolJob) run() {
+	slot := int(j.slots.Add(1) - 1)
 	for {
 		t := j.next.Add(1) - 1
 		if t >= j.n {
 			return
 		}
-		j.task(int(t))
+		j.task(slot, int(t))
 		j.done.Done()
 	}
 }
@@ -123,23 +126,28 @@ func (p *Pool) Close() {
 	p.once.Do(func() { close(p.quit) })
 }
 
-// Do executes task(0..n-1) with at most budget goroutines working this
-// job concurrently: the caller plus up to budget-1 pool workers. The
-// offer to the pool is non-blocking — when the pool is saturated by other
-// jobs the caller simply does more of the work itself — and the call
-// returns only when every task has run.
-func (p *Pool) Do(n, budget int, task func(int)) {
+// Do executes task(slot, i) for i in 0..n-1 with at most budget
+// goroutines working this job concurrently: the caller plus up to
+// budget-1 helpers. Each of them has its own slot in [0, budget), which
+// it passes to every task it runs, so tasks may use per-slot scratch
+// without locking. A pool's helpers are its workers, offered the job
+// without blocking — when the pool is saturated by other jobs the
+// caller simply does more of the work itself; a nil pool starts its
+// helpers as transient goroutines, each exiting once the bag is empty.
+// The call returns only when every task has run.
+func (p *Pool) Do(n, budget int, task func(slot, i int)) {
 	j := &poolJob{task: task, n: int64(n)}
 	j.done.Add(n)
-	helpers := budget - 1
-	if helpers > p.workers {
-		helpers = p.workers
-	}
-	if helpers > n-1 {
-		helpers = n - 1
+	helpers := min(budget, n) - 1
+	if p != nil {
+		helpers = min(helpers, p.workers)
 	}
 offer:
 	for i := 0; i < helpers; i++ {
+		if p == nil {
+			go j.run()
+			continue
+		}
 		select {
 		case p.jobs <- j:
 		default:

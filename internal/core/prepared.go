@@ -53,9 +53,6 @@ func Prepare(d *data.Dataset) *Prepared {
 	return p
 }
 
-// Dataset returns the dataset this Prepared was built from.
-func (p *Prepared) Dataset() *data.Dataset { return p.d }
-
 // Run executes CRH over the prepared dataset. See the package-level Run
 // for the semantics; this variant skips the per-call preparation.
 func (p *Prepared) Run(cfg Config) (*Result, error) {
@@ -70,46 +67,29 @@ func (p *Prepared) Run(cfg Config) (*Result, error) {
 	}
 	s := newSolver(p, cfg)
 
-	// Initialization: either the caller's truths or one truth update
-	// under uniform weights — the Voting/Averaging start the paper
-	// recommends (Section 2.5, "Initialization"). Either way the pass
-	// scores the initial truths, so iteration 1's weight update is the
-	// scheme alone. Seeded truths have no truth pass to fold the scoring
-	// into and get a scoring-only pass of their own.
-	if cfg.InitTruths != nil {
-		s.truths = cfg.InitTruths.Clone()
-		s.pinKnown()
-		s.sweep(0)
-	} else {
-		s.setUniformWeights()
-		s.sweep(passResolve)
-	}
+	// Initialization: one truth update under uniform weights — the
+	// Voting/Averaging start the paper recommends (Section 2.5,
+	// "Initialization"). The pass scores the truths it chooses, so
+	// iteration 1's weight update is the scheme alone.
+	s.setUniformWeights()
+	s.sweep(false)
 
-	// The per-iteration appends stay within these capacities, so the
+	// The per-iteration appends stay within this capacity, so the
 	// iteration loop itself performs no allocations.
-	res := &Result{
-		Objective: make([]float64, 0, cfg.MaxIters),
-		IterTime:  make([]time.Duration, 0, cfg.MaxIters),
-	}
+	res := &Result{Objective: make([]float64, 0, cfg.MaxIters)}
 	// Each iteration walks the claims once: Step II's pass also scores
 	// the truths it chooses, leaving the losses that the objective
 	// weighs and the next iteration's Step I turns into weights.
-	work := passResolve
-	if cfg.Trace != nil {
-		work |= passCount
-	}
 	prevObj := math.Inf(1)
 	for it := 0; it < cfg.MaxIters; it++ {
 		t0 := time.Now()
 		s.updateWeights()
 		tW := time.Now()
-		changes := s.sweep(work)
-		truthWorkers := s.lastWorkers
+		changes := s.sweep(cfg.Trace != nil)
 		tT := time.Now()
 		obj := s.objective()
 		tO := time.Now()
 		res.Objective = append(res.Objective, obj)
-		res.IterTime = append(res.IterTime, tO.Sub(t0))
 		res.Iterations = it + 1
 		if !math.IsInf(prevObj, 1) {
 			denom := math.Abs(prevObj)
@@ -130,7 +110,7 @@ func (p *Prepared) Run(cfg Config) (*Result, error) {
 				ObjectivePhase: tO.Sub(tT),
 				TruthChanges:   changes,
 				WeightWorkers:  1,
-				TruthWorkers:   truthWorkers,
+				TruthWorkers:   s.workers,
 				Weights:        obs.SummarizeWeights(s.weights[0]),
 				Converged:      res.Converged,
 			})
@@ -165,6 +145,6 @@ func (p *Prepared) Step(weights []float64, cfg Config) (*data.Table, []float64) 
 	cfg.PropertyGroups = nil
 	s := newSolver(p, cfg)
 	copy(s.weights[0], weights)
-	s.sweep(passResolve)
+	s.sweep(false)
 	return s.truths, s.groupLosses[0]
 }

@@ -3,8 +3,6 @@ package core
 import (
 	"math"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"github.com/crhkit/crh/internal/data"
 	"github.com/crhkit/crh/internal/loss"
@@ -21,16 +19,17 @@ type solver struct {
 	d    *data.Dataset
 	cfg  Config
 
+	// workers is the worker budget the run engages: Config.Workers
+	// (GOMAXPROCS for 0) clamped to the shard count, since extra
+	// workers would have nothing to claim. The solver trace reports it.
 	workers int
 	pool    *Pool
-	// seq is the sequential path's scratch. It is solver-owned rather
-	// than drawn from scratchPool, because a pooled entry can be
-	// reclaimed by the GC mid-run, and the Workers=1 path must stay
-	// deterministic in allocation behaviour too.
-	seq *scratch
-	// lastWorkers records the worker budget engaged by the most recent
-	// parallel region — the per-phase count the solver trace reports.
-	lastWorkers int
+	// scratch[slot] belongs to the worker holding that Pool.Do slot;
+	// the sequential path uses scratch[0].
+	scratch []scratch
+	// needDist reports whether the categorical loss fills a
+	// distribution for each truth it chooses (NeedsDist).
+	needDist bool
 
 	truths *data.Table
 	// weights[g][k] is source k's weight for property group g; the
@@ -39,18 +38,6 @@ type solver struct {
 	weights [][]float64
 	// groupOf[m] is property m's group index.
 	groupOf []int
-
-	// dists[e] is the distribution behind entry e's current truth for
-	// categorical losses whose NeedsDist reports true, nil when the
-	// truth has none: hard losses, continuous entries, pinned truths,
-	// and truths no Step II has computed yet (seeded by InitTruths).
-	// The views index one contiguous arena, entry e's slot starting at
-	// (e/M)·distRow + distOff[m].
-	needDist  bool
-	dists     [][]float64
-	distArena []float64
-	distOff   []int
-	distRow   int
 
 	// Step I state: per-shard partial loss matrices and their merged
 	// totals, flattened to [k*M+m]. partSum/partCnt hold nsh consecutive
@@ -73,77 +60,57 @@ type solver struct {
 }
 
 // scratch holds one worker's reusable per-entry buffers: gathered
-// weights, the continuous losses' working space, and the categorical
-// vote tally. All are sized from the dataset's extents (MaxObservers,
+// weights, the continuous losses' working space, the categorical vote
+// tally, and the distribution behind the truth of the categorical entry
+// the worker is resolving, which that entry's scoring reads right
+// after. All are sized from the dataset's extents (MaxObservers,
 // MaxCats), so per-entry slicing never reallocates.
 type scratch struct {
-	ws, vbuf, wbuf, votes []float64
+	ws, vbuf, wbuf, votes, dist []float64
 }
 
-// scratchPool recycles parallel workers' scratch across regions and
-// runs. It is package-level on purpose: once used, a sync.Pool stays in
-// the runtime's pool registry for two more GC cycles, so a pool inside
-// the solver would keep the finished solver, its Prepared and its
-// Dataset reachable that long after every multi-worker run.
-var scratchPool sync.Pool
-
-func (s *solver) newScratch() *scratch {
-	mo, mc := s.d.MaxObservers(), s.d.MaxCats()
-	return &scratch{
-		ws:    make([]float64, mo),
-		vbuf:  make([]float64, mo),
-		wbuf:  make([]float64, mo),
-		votes: make([]float64, mc),
-	}
-}
-
-// getScratch draws a pooled scratch large enough for this solver's
-// dataset, allocating one when the pool has none that fits.
-func (s *solver) getScratch() *scratch {
-	if sc, ok := scratchPool.Get().(*scratch); ok && len(sc.ws) >= s.d.MaxObservers() && len(sc.votes) >= s.d.MaxCats() {
-		return sc
-	}
-	return s.newScratch()
-}
+// cacheLine is a cache line's length in float64s. Each worker's scratch
+// region is followed by one line of padding, so two workers never write
+// the same line.
+const cacheLine = 8
 
 func newSolver(p *Prepared, cfg Config) *solver {
 	c := p.d
 	K, M := c.NumSources(), c.NumProps()
-	nEntries := c.NumEntries()
-	nsh := numShards(nEntries)
+	nsh := numShards(c.NumEntries())
 	s := &solver{
-		prep:    p,
-		d:       c,
-		cfg:     cfg,
-		workers: cfg.Workers,
-		pool:    cfg.Pool,
-		truths:  data.NewTableFor(p.d),
-		groupOf: make([]int, M),
-		dists:   make([][]float64, nEntries),
-		nsh:     nsh,
-		partSum: make([]float64, nsh*K*M),
-		partCnt: make([]int32, nsh*K*M),
-		sumKM:   make([]float64, K*M),
-		cntKM:   make([]int32, K*M),
-		avgBuf:  make([]float64, K*M),
+		prep:     p,
+		d:        c,
+		cfg:      cfg,
+		workers:  cfg.Workers,
+		pool:     cfg.Pool,
+		needDist: cfg.CategoricalLoss.NeedsDist(),
+		truths:   data.NewTableFor(p.d),
+		groupOf:  make([]int, M),
+		nsh:      nsh,
+		partSum:  make([]float64, nsh*K*M),
+		partCnt:  make([]int32, nsh*K*M),
+		sumKM:    make([]float64, K*M),
+		cntKM:    make([]int32, K*M),
+		avgBuf:   make([]float64, K*M),
 	}
 	if s.workers == 0 {
 		s.workers = runtime.GOMAXPROCS(0)
 	}
-	if cfg.CategoricalLoss.NeedsDist() {
-		// One contiguous arena holds every categorical entry's
-		// distribution, in entry order; the loss overwrites its slot
-		// in place each iteration instead of allocating a fresh slice
-		// per entry.
-		s.needDist = true
-		s.distOff = make([]int, M)
-		for m := 0; m < M; m++ {
-			if p.props[m].Type == data.Categorical {
-				s.distOff[m] = s.distRow
-				s.distRow += p.props[m].NumCats()
-			}
+	s.workers = max(min(s.workers, nsh), 1)
+	// The engaged workers' scratch is one slab, a region per worker.
+	mo, mc := c.MaxObservers(), c.MaxCats()
+	region := 3*mo + 2*mc + cacheLine
+	slab := make([]float64, s.workers*region)
+	s.scratch = make([]scratch, s.workers)
+	for w := range s.scratch {
+		b := slab[w*region:]
+		cut := func(n int) []float64 {
+			v := b[:n:n]
+			b = b[n:]
+			return v
 		}
-		s.distArena = make([]float64, s.distRow*c.NumObjects())
+		s.scratch[w] = scratch{ws: cut(mo), vbuf: cut(mo), wbuf: cut(mo), votes: cut(mc), dist: cut(mc)}
 	}
 	s.groups = cfg.PropertyGroups
 	if s.groups == nil {
@@ -163,7 +130,6 @@ func newSolver(p *Prepared, cfg Config) *solver {
 		s.groupLosses[g] = make([]float64, K)
 		s.groupCounts[g] = make([]int, K)
 	}
-	s.seq = s.newScratch()
 	return s
 }
 
@@ -176,79 +142,20 @@ func (s *solver) setUniformWeights() {
 	}
 }
 
-// pinKnown overwrites entries whose truths are supplied (semi-supervised
-// operation). Pinned entries still contribute to source losses.
-func (s *solver) pinKnown() {
-	if s.cfg.KnownTruths == nil {
-		return
-	}
-	s.cfg.KnownTruths.ForEach(func(e int, v data.Value) {
-		s.truths.Set(e, v)
-		// Hard truths have no soft distribution; probabilistic losses
-		// degrade to 0-1 behaviour on pinned entries.
-		s.dists[e] = nil
-	})
-}
-
-// effectiveWorkers returns the worker budget actually engaged for this
-// dataset: the configured budget clamped to the shard count (extra
-// workers would have nothing to claim).
-func (s *solver) effectiveWorkers() int {
-	w := s.workers
-	if w > s.nsh {
-		w = s.nsh
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
 // forShards runs fn once per shard of the entry range, in parallel up to
 // the solver's worker budget. Shard boundaries depend only on the entry
 // count (see numShards), and fn receives the shard index so per-shard
 // partial results can be merged in shard order afterwards — the two
 // properties that make every worker count produce bit-identical output.
 // Shards are claimed dynamically (work stealing) which is safe precisely
-// because the merge happens by shard index, not by completion order.
+// because the merge happens by shard index, not by completion order; fn
+// gets the scratch of the Pool.Do slot running it.
 func (s *solver) forShards(fn func(sc *scratch, sh, lo, hi int)) {
 	n := s.d.NumEntries()
-	nsh := s.nsh
-	w := s.effectiveWorkers()
-	s.lastWorkers = w
-	if w <= 1 {
-		for sh := 0; sh < nsh; sh++ {
-			lo, hi := shardBounds(n, sh, nsh)
-			fn(s.seq, sh, lo, hi)
-		}
-		return
-	}
-	task := func(sh int) {
-		sc := s.getScratch()
-		lo, hi := shardBounds(n, sh, nsh)
-		fn(sc, sh, lo, hi)
-		scratchPool.Put(sc)
-	}
-	if s.pool != nil {
-		s.pool.Do(nsh, w, task)
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				sh := int(next.Add(1) - 1)
-				if sh >= nsh {
-					return
-				}
-				task(sh)
-			}
-		}()
-	}
-	wg.Wait()
+	s.pool.Do(s.nsh, s.workers, func(slot, sh int) {
+		lo, hi := shardBounds(n, sh, s.nsh)
+		fn(&s.scratch[slot], sh, lo, hi)
+	})
 }
 
 // gatherWeights fills sc.ws with the current weight of each source
@@ -266,47 +173,34 @@ func (s *solver) gatherWeights(sc *scratch, e, m int) []float64 {
 	return ws
 }
 
-// pass selects the work one sweep over the entries does. Every sweep
-// scores: it charges each claim its deviation from its entry's truth
-// into the shard's partial loss slot — Step I's losses.
-type pass uint8
-
-const (
-	// passResolve runs Step II before scoring: each entry's truth is
-	// pinned from KnownTruths or set to the argmin of its claims under
-	// the current weights. An entry is scored right after its new truth
-	// is chosen, which is what a separate loss walk would charge: an
-	// entry's deviations depend only on its own claims and its truth.
-	passResolve pass = 1 << iota
-	// passCount counts the entries whose truth moved (traced runs
-	// only).
-	passCount
-)
-
-// sweep runs one pass over every entry, parallelized across shards
-// (each entry's truth and deviations are independent), and leaves the
-// losses of the truths it charged in s.groupLosses and s.groupCounts.
-// With passCount it returns the number of entries whose truth estimate
-// moved; otherwise it returns 0 without comparing, keeping the untraced
-// path free of the extra table reads.
-func (s *solver) sweep(work pass) int {
+// sweep runs Step II over every entry, parallelized across shards
+// (each entry's truth and deviations are independent): each entry's
+// truth is pinned from KnownTruths or set to the argmin of its claims
+// under the current weights, and its claims are charged their
+// deviations from that truth right after — what a separate loss walk
+// would charge, since an entry's deviations depend only on its own
+// claims and its truth. It leaves the losses of the truths it chose in
+// s.groupLosses and s.groupCounts. With count it returns the number of
+// entries whose truth estimate moved (traced runs only); otherwise it
+// returns 0 without comparing, keeping the untraced path free of the
+// extra table reads.
+func (s *solver) sweep(count bool) int {
 	var perShard []int
-	if work&passCount != 0 {
+	if count {
 		perShard = make([]int, s.nsh)
 	}
 	// The sequential path dispatches shards directly instead of through
 	// forShards: a closure argument would escape to the heap and cost
 	// one allocation per iteration, breaking the zero-steady-state pin.
-	if s.effectiveWorkers() <= 1 {
-		s.lastWorkers = 1
+	if s.workers == 1 {
 		n := s.d.NumEntries()
 		for sh := 0; sh < s.nsh; sh++ {
 			lo, hi := shardBounds(n, sh, s.nsh)
-			s.sweepShard(s.seq, sh, lo, hi, work, perShard)
+			s.sweepShard(&s.scratch[0], sh, lo, hi, perShard)
 		}
 	} else {
 		s.forShards(func(sc *scratch, sh, lo, hi int) {
-			s.sweepShard(sc, sh, lo, hi, work, perShard)
+			s.sweepShard(sc, sh, lo, hi, perShard)
 		})
 	}
 	s.mergeLosses()
@@ -318,11 +212,12 @@ func (s *solver) sweep(work pass) int {
 }
 
 // sweepShard runs one pass over entries [lo, hi) — one shard. It first
-// zeroes the shard's partial loss slot, then charges entries in
-// ascending order, each claim in the dataset's claim order.
+// zeroes the shard's partial loss slot, then resolves and charges
+// entries in ascending order, each claim in the dataset's claim order.
+// A non-nil perShard receives the shard's count of moved truths.
 //
 //crh:hotpath
-func (s *solver) sweepShard(sc *scratch, sh, lo, hi int, work pass, perShard []int) {
+func (s *solver) sweepShard(sc *scratch, sh, lo, hi int, perShard []int) {
 	c := s.d
 	KM := c.NumSources() * c.NumProps()
 	lsum := s.partSum[sh*KM : (sh+1)*KM]
@@ -330,24 +225,24 @@ func (s *solver) sweepShard(sc *scratch, sh, lo, hi int, work pass, perShard []i
 	clear(lsum)
 	clear(lcnt)
 	for e := lo; e < hi; e++ {
-		if work&passResolve != 0 {
-			if s.cfg.KnownTruths != nil && s.cfg.KnownTruths.Has(e) {
-				v, _ := s.cfg.KnownTruths.Get(e)
-				s.truths.Set(e, v)
-				s.dists[e] = nil
-			} else if nv, ok := s.resolveEntry(sc, e); ok {
-				if work&passCount != 0 {
-					t := s.prep.props[c.EntryProp(e)].Type
-					if old, ok := s.truths.Get(e); !ok || truthChanged(t, old, nv) {
-						perShard[sh]++
-					}
+		var truth data.Value
+		var dist []float64
+		if s.cfg.KnownTruths != nil && s.cfg.KnownTruths.Has(e) {
+			// A pinned truth is a hard label: it has no distribution.
+			truth, _ = s.cfg.KnownTruths.Get(e)
+		} else if nv, d, ok := s.resolveEntry(sc, e); ok {
+			if perShard != nil {
+				t := s.prep.props[c.EntryProp(e)].Type
+				if old, ok := s.truths.Get(e); !ok || truthChanged(t, old, nv) {
+					perShard[sh]++
 				}
-				s.truths.Set(e, nv)
 			}
+			truth, dist = nv, d
+		} else {
+			continue
 		}
-		if truth, ok := s.truths.Get(e); ok {
-			s.scoreEntry(lsum, lcnt, e, truth)
-		}
+		s.truths.Set(e, truth)
+		s.scoreEntry(lsum, lcnt, e, truth, dist)
 	}
 }
 
@@ -355,37 +250,36 @@ func (s *solver) sweepShard(sc *scratch, sh, lo, hi int, work pass, perShard []i
 // its claims straight from the dataset's columns, gather the observers'
 // weights, and let the configured loss pick the minimizing estimate
 // (Eq 7/9) in the worker's scratch. The columns are shared state; the
-// loss contract makes them read-only, so they are passed uncopied. ok
-// is false when nobody observed the entry. This is the truth-update
-// inner loop — it runs once per entry per iteration, and //crh:hotpath
-// holds it and everything it calls to zero steady-state allocations.
+// loss contract makes them read-only, so they are passed uncopied. dist
+// is the distribution a NeedsDist loss filled for a categorical truth,
+// a view of the worker's scratch valid until its next entry; nil
+// otherwise. ok is false when nobody observed the entry. This is the
+// truth-update inner loop — it runs once per entry per iteration, and
+// //crh:hotpath holds it and everything it calls to zero steady-state
+// allocations.
 //
 //crh:hotpath
-func (s *solver) resolveEntry(sc *scratch, e int) (data.Value, bool) {
+func (s *solver) resolveEntry(sc *scratch, e int) (truth data.Value, dist []float64, ok bool) {
 	c := s.d
 	m := c.EntryProp(e)
 	p := s.prep.props[m]
 	if p.Type == data.Categorical {
 		codes := c.EntryCodes(e)
 		if len(codes) == 0 {
-			return data.Value{}, false
+			return data.Value{}, nil, false
 		}
 		ws := s.gatherWeights(sc, e, m)
-		var dist []float64
 		if s.needDist {
-			lo := e/c.NumProps()*s.distRow + s.distOff[m]
-			hi := lo + p.NumCats()
-			dist = s.distArena[lo:hi:hi]
-			s.dists[e] = dist
+			dist = sc.dist[:p.NumCats()]
 		}
-		return data.Cat(s.cfg.CategoricalLoss.Truth(codes, ws, sc.votes, dist, p)), true
+		return data.Cat(s.cfg.CategoricalLoss.Truth(codes, ws, sc.votes, dist, p)), dist, true
 	}
 	vals := c.EntryFloats(e)
 	if len(vals) == 0 {
-		return data.Value{}, false
+		return data.Value{}, nil, false
 	}
 	ws := s.gatherWeights(sc, e, m)
-	return data.Float(s.cfg.ContinuousLoss.Truth(vals, ws, sc.vbuf, sc.wbuf)), true
+	return data.Float(s.cfg.ContinuousLoss.Truth(vals, ws, sc.vbuf, sc.wbuf)), nil, true
 }
 
 // truthChanged reports whether a truth update moved an entry's estimate:
@@ -399,20 +293,20 @@ func truthChanged(t data.Type, old, nv data.Value) bool {
 }
 
 // scoreEntry charges each claim on entry e its deviation from truth
-// (Eq 5/6) into one shard's partial loss matrix (flattened [k*M+m]).
-// It is Step I's per-entry unit and runs once per entry per iteration
-// inside the Step II pass — //crh:hotpath holds it and everything it
-// calls to zero steady-state allocations.
+// (Eq 5/6) into one shard's partial loss matrix (flattened [k*M+m]);
+// dist is the distribution behind a categorical truth, nil when it has
+// none. It is Step I's per-entry unit and runs once per entry per
+// iteration inside the Step II pass — //crh:hotpath holds it and
+// everything it calls to zero steady-state allocations.
 //
 //crh:hotpath
-func (s *solver) scoreEntry(lsum []float64, lcnt []int32, e int, truth data.Value) {
+func (s *solver) scoreEntry(lsum []float64, lcnt []int32, e int, truth data.Value, dist []float64) {
 	c := s.d
 	M := c.NumProps()
 	m := c.EntryProp(e)
 	srcs := c.EntrySources(e)
 	p := s.prep.props[m]
 	if p.Type == data.Categorical {
-		dist := s.dists[e]
 		codes := c.EntryCodes(e)
 		tc := int(truth.C)
 		for j, k := range srcs {

@@ -45,10 +45,9 @@ func (c countingCategorical) Deviation(truth int, dist []float64, obs int, p *da
 
 // TestRunScoringPasses pins the pass structure of a run: Step II's pass
 // also scores the truths it chooses, so a run of I iterations scores
-// every claim exactly I+1 times — once per truth pass (the
-// initialization's included), or, with InitTruths, once in the seeded
-// truths' own scoring pass and once per iteration — at any worker
-// budget. Step scores every claim once.
+// every claim exactly I+1 times — once per truth pass, the
+// initialization's included — at any worker budget. Step scores every
+// claim once.
 func TestRunScoringPasses(t *testing.T) {
 	d := synthesize(equivCase{"mixed", 2, 2, 8, 300, 0.3}, 46)
 	p := Prepare(d)
@@ -63,22 +62,20 @@ func TestRunScoringPasses(t *testing.T) {
 		CategoricalLoss: countingCategorical{&n},
 	}
 	for _, workers := range []int{1, 4} {
-		for _, init := range []*data.Table{nil, seed.Truths} {
-			for _, iters := range []int{1, 3} {
-				cfg := losses
-				cfg.MaxIters, cfg.Tol, cfg.Workers, cfg.InitTruths = iters, math.Inf(-1), workers, init
-				n.Store(0)
-				res, err := p.Run(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res.Iterations != iters {
-					t.Fatalf("ran %d iterations, want %d", res.Iterations, iters)
-				}
-				name := fmt.Sprintf("workers=%d seeded=%t iters=%d", workers, init != nil, iters)
-				if got, want := n.Load(), int64(iters+1)*claims; got != want {
-					t.Errorf("%s: %d deviations scored, want %d (%d claims × %d passes)", name, got, want, claims, iters+1)
-				}
+		for _, iters := range []int{1, 3} {
+			cfg := losses
+			cfg.MaxIters, cfg.Tol, cfg.Workers = iters, math.Inf(-1), workers
+			n.Store(0)
+			res, err := p.Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Iterations != iters {
+				t.Fatalf("ran %d iterations, want %d", res.Iterations, iters)
+			}
+			name := fmt.Sprintf("workers=%d iters=%d", workers, iters)
+			if got, want := n.Load(), int64(iters+1)*claims; got != want {
+				t.Errorf("%s: %d deviations scored, want %d (%d claims × %d passes)", name, got, want, claims, iters+1)
 			}
 		}
 		n.Store(0)

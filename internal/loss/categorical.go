@@ -88,7 +88,7 @@ func (SquaredProb) Truth(codes []uint32, ws []float64, _, dist []float64, p *dat
 // Σ_j I*_j² − 2·I*_obs + 1, computed in O(L).
 func (SquaredProb) Deviation(truth int, dist []float64, obs int, p *data.Property) float64 {
 	if dist == nil {
-		// No distribution available (a pinned or seeded truth): the
+		// No distribution available (a pinned truth): the
 		// truth is a hard label, so degrade to the 0-1 loss.
 		return ZeroOne{}.Deviation(truth, nil, obs, p)
 	}

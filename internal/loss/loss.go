@@ -47,11 +47,13 @@ type Categorical interface {
 	// codes[j] is the jth observer's category index and ws[j] its
 	// source weight; both are read-only. votes is scratch of length
 	// ≥ p.NumCats() whose contents on entry are arbitrary. When
-	// NeedsDist, dist (length p.NumCats()) is the entry's distribution
-	// storage, which Truth overwrites and Deviation later receives.
+	// NeedsDist, dist (length p.NumCats()) is scratch that Truth
+	// overwrites with the distribution of the entry being resolved.
 	Truth(codes []uint32, ws []float64, votes, dist []float64, p *data.Property) int
 	// Deviation returns the loss of an observation against the current
-	// truth. dist is the distribution Truth filled, or nil for hard
-	// losses and for truths no Truth call chose (pinned or seeded).
+	// truth. dist is the distribution Truth just filled for this entry,
+	// passed for the entry's claims right after Truth and before the
+	// scratch is reused; nil for hard losses and for a pinned truth,
+	// which no Truth call chose.
 	Deviation(truth int, dist []float64, obs int, p *data.Property) float64
 }

@@ -25,7 +25,12 @@ import (
 //     object's V records.
 //   - Timestamps are non-decreasing: once a record of window w+1 appears,
 //     no record of window w may follow. This is the natural order a
-//     crawler produces.
+//     crawler produces. O records may run ahead of their windows (a file
+//     written by data.Encode lists them all first).
+//
+// Memory stays bounded on a never-ending stream: when a window closes,
+// the timestamps of objects in closed windows are dropped, since none
+// of their records may follow.
 //
 // Source identity is global across chunks: every chunk's dataset interns
 // the sources seen so far in a stable order, so the Processor's
@@ -41,7 +46,7 @@ type TSVStream struct {
 	propByID  map[string]int
 	sources   []string
 	srcByID   map[string]int
-	objTS     map[string]int
+	objTS     map[string]int // objects of open and later windows
 	seenMaxTS int
 	started   bool
 	winStart  int
@@ -100,9 +105,15 @@ func (t *TSVStream) Next() (Chunk, error) {
 			t.winStart = winStart
 		}
 		if r.ts >= t.winStart+t.window {
-			// Start of the next window.
+			// Start of the next window: the windows before it are
+			// closed, so their objects' timestamps go.
 			t.pending = r
 			t.winStart = (r.ts / t.window) * t.window
+			for obj, ts := range t.objTS {
+				if ts < t.winStart {
+					delete(t.objTS, obj)
+				}
+			}
 			return false
 		}
 		recs = append(recs, r)
@@ -175,7 +186,7 @@ func (t *TSVStream) Next() (Chunk, error) {
 			}
 			ts, ok := t.objTS[f[1]]
 			if !ok {
-				return Chunk{}, fail("object " + f[1] + " has no O (timestamp) record")
+				return Chunk{}, fail("object " + f[1] + " has no O (timestamp) record in an open window")
 			}
 			sid, ok := t.srcByID[f[3]]
 			if !ok {

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math"
 	"strings"
@@ -145,6 +146,59 @@ func TestTSVStreamMatchesBatchChunking(t *testing.T) {
 		if got[i] != batch[i].Data.NumObservations() {
 			t.Fatalf("chunk %d: stream %d obs, batch %d", i, got[i], batch[i].Data.NumObservations())
 		}
+	}
+}
+
+// TestTSVStreamRejectsClosedWindowRecord: once window 1 has opened, a
+// V record of an object timestamped in window 0 breaks the order
+// contract. It fails with its line number instead of joining window 1's
+// chunk under its stale timestamp.
+func TestTSVStreamRejectsClosedWindowRecord(t *testing.T) {
+	in := "P\tx\tcontinuous\nO\ta\t0\nV\ta\tx\ts1\t1\nO\tb\t1\nV\tb\tx\ts1\t2\nV\ta\tx\ts2\t3\n"
+	ts, err := NewTSVStream(strings.NewReader(in), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ch, err := ts.Next(); err != nil || ch.Timestamp != 0 {
+		t.Fatalf("window 0: timestamp %d, err %v", ch.Timestamp, err)
+	}
+	ch, err := ts.Next()
+	if err == nil || !strings.Contains(err.Error(), "line 6") {
+		t.Fatalf("window 1: %d objects, err %v; want the line 6 record rejected", ch.Data.NumObjects(), err)
+	}
+}
+
+// TestTSVStreamForgetsClosedWindows pins the live stream's memory
+// bound: over 2,000 one-object windows, the stream never holds more
+// than two objects' timestamps, as each closed window's go with it.
+func TestTSVStreamForgetsClosedWindows(t *testing.T) {
+	const windows = 2000
+	var b strings.Builder
+	b.WriteString("P\tx\tcontinuous\n")
+	for i := 0; i < windows; i++ {
+		fmt.Fprintf(&b, "O\to%d\t%d\nV\to%d\tx\ts1\t%d\n", i, i, i, i)
+	}
+	ts, err := NewTSVStream(strings.NewReader(b.String()), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunks, held := 0, 0
+	for {
+		ch, err := ts.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("chunk %d: %v", chunks, err)
+		}
+		if ch.Data.NumObjects() != 1 {
+			t.Fatalf("chunk %d holds %d objects, want 1", chunks, ch.Data.NumObjects())
+		}
+		chunks++
+		held = max(held, len(ts.objTS))
+	}
+	if chunks != windows || held > 2 {
+		t.Fatalf("%d chunks holding up to %d objects' timestamps; want %d chunks, at most 2", chunks, held, windows)
 	}
 }
 

@@ -17,8 +17,10 @@ type ContinuousLoss = loss.Continuous
 // CategoricalLoss measures deviation on discrete-valued properties and
 // defines the corresponding weighted aggregation rule (Section 2.4.1).
 // Truth receives a scratch vote buffer and, when NeedsDist reports true,
-// the entry's distribution storage; it must treat its codes and weights
-// as read-only.
+// a dist scratch it overwrites for the entry being resolved; Deviation
+// receives that dist for the same entry's claims right after, or nil
+// for a pinned truth. Truth must treat its codes and weights as
+// read-only.
 type CategoricalLoss = loss.Categorical
 
 // WeightScheme maps per-source aggregated losses to source weights — the

@@ -40,11 +40,17 @@
 #                      worker took; a built Dataset owns its
 #                      category dictionaries; crhd keeps only the
 #                      current version's resolve results, not one per
-#                      version ever resolved), the incremental Build's
-#                      allocations (a Build after a few new rows sorts
-#                      only those rows: no scratch per logged row), on
-#                      their own so a regression in any of these paths
-#                      is named in the logs
+#                      version ever resolved; the live TSV stream keeps
+#                      only open windows' object timestamps), the
+#                      incremental Build's allocations (a Build after a
+#                      few new rows sorts only those rows: no scratch
+#                      per logged row), Pool.Do's worker slots (each
+#                      below the budget, never two running tasks in
+#                      one: the solver's per-worker scratch relies on
+#                      it) and the live stream's rejection of a record
+#                      from a closed window, on their own so a
+#                      regression in any of these paths is named in
+#                      the logs
 #                      (the golden byte-equality suite already ran inside
 #                      make check)
 #   9. perfbench       vet and unit tests of the benchmark program, its
@@ -88,10 +94,10 @@ make fuzz FUZZTIME=5s
 echo "==> loadcheck (serve-path smoke)"
 make loadcheck
 
-echo "==> allocation and memory pins (encode, ingest value decode, result retention, solver iterations and passes, I-CRH chunk scan, weighted median, weight schemes, loss scratch contract, run retention, dictionary copies, incremental Build)"
+echo "==> allocation and memory pins (encode, ingest value decode, result retention, solver iterations and passes, I-CRH chunk scan, live stream windows, weighted median, weight schemes, loss scratch contract, run retention, pool worker slots, dictionary copies, incremental Build)"
 go test -run 'TestEncodeAllocs|TestValidateBatchAllocs|TestSupersededResultsDropped' -count=1 ./internal/server/
-go test -run 'TestSolverIterationAllocFree|TestSolverRunReusesPrepared|TestParallelRunReleasesPrepared|TestPoolReleasesUntakenOffers|TestRunScoringPasses' -count=1 ./internal/core/
-go test -run 'TestProcessScansChunkOnce' -count=1 ./internal/stream/
+go test -run 'TestSolverIterationAllocFree|TestSolverRunReusesPrepared|TestParallelRunReleasesPrepared|TestPoolReleasesUntakenOffers|TestRunScoringPasses|TestPoolDoSlots' -count=1 ./internal/core/
+go test -run 'TestProcessScansChunkOnce|TestTSVStreamRejectsClosedWindowRecord|TestTSVStreamForgetsClosedWindows' -count=1 ./internal/stream/
 go test -run 'TestWeightedMedianBufAllocFree' -count=1 ./internal/stats/
 go test -run 'TestWeightsAllocFree' -count=1 ./internal/reg/
 go test -run 'TestContinuousKernelBitIdentity|TestCategoricalKernelBitIdentity' -count=1 ./internal/loss/
