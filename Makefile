@@ -4,7 +4,8 @@
 #   make test       fast test run (no race detector)
 #   make bench      all benchmarks
 #   make benchjson  machine-readable BENCH_<id>.json experiment records
-#   make racehammer concurrency hammer tests (core + obs + server), repeated
+#   make racehammer concurrency hammer tests (core + obs + server +
+#                   crhload), repeated
 #   make fuzz       short fuzz pass over every fuzz target (committed
 #                   corpora always run as part of `make test` already)
 #   make walcheck   kill -9 a crhd subprocess mid-ingest and prove the
@@ -45,7 +46,7 @@ benchjson:
 	$(GO) run ./cmd/crhbench -ingest off,interval,batch -json .
 
 racehammer:
-	$(GO) test -race -count=2 -run 'Concurrent|Hammer' ./internal/core/... ./internal/obs/... ./internal/server/...
+	$(GO) test -race -count=2 -run 'Concurrent|Hammer' ./internal/core/... ./internal/obs/... ./internal/server/... ./cmd/crhload/
 
 # Go runs one -fuzz pattern per package invocation, so each target gets
 # its own line.

@@ -4,13 +4,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"github.com/crhkit/crh/internal/obs"
 )
 
 // newSeedRNG derives the dataset-seeding rng from the run seed,
@@ -157,16 +156,15 @@ func ingestBody(rng *rand.Rand, objects, sources int) string {
 	return string(raw)
 }
 
-// epMetrics accumulates one endpoint's results: a full-run histogram
-// for the report, a sliding window for live progress lines, and atomic
-// counters. Failed requests count toward requests/errors but not the
-// latency distributions.
+// epMetrics accumulates one endpoint's results: the latencies of its
+// successful requests, 8 bytes each in completion order, and atomic
+// counters. Failed requests count toward requests/errors but keep no
+// latency.
 type epMetrics struct {
-	hist     *obs.Histogram
-	win      *obs.Window
 	requests atomic.Int64
 	errors   atomic.Int64
-	maxNS    atomic.Int64
+	mu       sync.Mutex
+	lat      []time.Duration // guarded by mu
 }
 
 func (m *epMetrics) record(d time.Duration, err error) {
@@ -175,32 +173,23 @@ func (m *epMetrics) record(d time.Duration, err error) {
 		m.errors.Add(1)
 		return
 	}
-	m.hist.ObserveDuration(d)
-	m.win.ObserveDuration(d)
-	for {
-		old := m.maxNS.Load()
-		if int64(d) <= old || m.maxNS.CompareAndSwap(old, int64(d)) {
-			return
-		}
-	}
+	m.mu.Lock()
+	m.lat = append(m.lat, d)
+	m.mu.Unlock()
+}
+
+// latencies returns a copy of the latencies recorded after the first
+// from, in completion order.
+func (m *epMetrics) latencies(from int) []time.Duration {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return slices.Clone(m.lat[from:])
 }
 
 // runMetrics is the full per-run measurement state.
 type runMetrics struct {
-	eps  [numEndpoints]*epMetrics
+	eps  [numEndpoints]epMetrics
 	late atomic.Int64 // open loop: dispatches delayed by the inflight cap
-}
-
-func newRunMetrics() *runMetrics {
-	reg := obs.NewRegistry() // private; crhload reports, it doesn't serve
-	rm := &runMetrics{}
-	for i := range rm.eps {
-		rm.eps[i] = &epMetrics{
-			hist: reg.NewHistogram("crhload_latency_seconds_"+endpointNames[i], "client-observed latency", obs.DefBuckets),
-			win:  obs.NewWindow(5*time.Second, 500*time.Millisecond, obs.DefBuckets),
-		}
-	}
-	return rm
 }
 
 // runClosed drives the closed loop: conc workers, each issuing its next
@@ -268,33 +257,48 @@ func runOpen(c *client, m mix, conc int, rate float64, duration time.Duration, s
 	return time.Since(start)
 }
 
-// progressLoop prints a one-line summary of the recent window per
-// active endpoint every interval, until stop closes.
+// progressLoop prints a progress line every interval until stop
+// closes.
 func progressLoop(rm *runMetrics, m mix, interval time.Duration, stop <-chan struct{}, printf func(format string, args ...any)) {
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
 	start := time.Now()
+	last := start
+	var seen [numEndpoints]int
 	for {
 		select {
 		case <-stop:
 			return
 		case <-tick.C:
-			var sb strings.Builder
-			fmt.Fprintf(&sb, "t=%s", time.Since(start).Round(time.Second))
-			for i, em := range rm.eps {
-				if m[i] == 0 {
-					continue
-				}
-				snap := em.win.Snapshot()
-				p95 := "-"
-				if snap.Count > 0 {
-					d := time.Duration(snap.Quantile(0.95) * float64(time.Second))
-					p95 = d.Round(100 * time.Microsecond).String()
-				}
-				fmt.Fprintf(&sb, " | %s %.0f/s p95=%s errs=%d",
-					endpointNames[i], snap.Rate, p95, em.errors.Load())
-			}
-			printf("%s\n", sb.String())
+			now := time.Now()
+			printf("%s\n", progressLine(rm, m, &seen, now.Sub(start), now.Sub(last)))
+			last = now
 		}
 	}
+}
+
+// progressLine formats one progress line: per active endpoint, the rate
+// and p95 of the requests completed since the previous line, and the
+// errors so far. seen[i] counts endpoint i's latencies earlier lines
+// reported and is advanced past this line's; elapsed is the run time so
+// far and since the time since the previous line.
+func progressLine(rm *runMetrics, m mix, seen *[numEndpoints]int, elapsed, since time.Duration) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "t=%s", elapsed.Round(time.Second))
+	for i := range rm.eps {
+		if m[i] == 0 {
+			continue
+		}
+		em := &rm.eps[i]
+		lat := em.latencies(seen[i])
+		seen[i] += len(lat)
+		p95 := "-"
+		if len(lat) > 0 {
+			slices.Sort(lat)
+			p95 = nearestRank(lat, 95).Round(100 * time.Microsecond).String()
+		}
+		fmt.Fprintf(&sb, " | %s %.0f/s p95=%s errs=%d",
+			endpointNames[i], float64(len(lat))/since.Seconds(), p95, em.errors.Load())
+	}
+	return sb.String()
 }

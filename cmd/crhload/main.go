@@ -151,7 +151,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "crhload: /v1/stats unavailable before run (%v); stage shares will be omitted\n", err)
 	}
 
-	rm := newRunMetrics()
+	rm := new(runMetrics)
 	stop := make(chan struct{})
 	if !*quiet && p.duration > 5*time.Second {
 		go progressLoop(rm, m, 5*time.Second, stop, func(format string, args ...any) {

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -10,7 +11,9 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -86,26 +89,71 @@ func TestGenRequestDeterministic(t *testing.T) {
 	}
 }
 
-// TestMergedQuantile: the total row's quantiles come from the
-// endpoints' histograms merged, so they fall in the buckets the
-// combined traffic fills.
+// TestNearestRankQuantiles: each quantile is the ⌈p·n⌉-th smallest
+// latency whatever order the requests completed in, max and mean are
+// the samples' own, and failed requests keep no latency.
+func TestNearestRankQuantiles(t *testing.T) {
+	const ms = time.Millisecond
+	oneSlow := []time.Duration{24 * ms}
+	for i := 0; i < 19; i++ {
+		oneSlow = append(oneSlow, 11*ms)
+	}
+	uniform := make([]time.Duration, 100)
+	for i := range uniform {
+		uniform[i] = time.Duration(i+1) * ms
+	}
+	for _, tc := range []struct {
+		name                     string
+		lat                      []time.Duration
+		p50, p95, p99, max, mean float64
+	}{
+		// A bucket estimator reads p50 17.5 and p95 24 here: the twenty
+		// samples share one wide bucket.
+		{"nineteen fast, one slow", oneSlow, 11, 11, 24, 24, 11.65},
+		{"one sample", []time.Duration{3 * ms}, 3, 3, 3, 3, 3},
+		{"uniform 1..100ms", uniform, 50, 95, 99, 100, 50.5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			lat := slices.Clone(tc.lat)
+			rand.New(rand.NewSource(1)).Shuffle(len(lat), func(i, j int) { lat[i], lat[j] = lat[j], lat[i] })
+			rm := new(runMetrics)
+			for _, d := range lat {
+				rm.eps[epResolve].record(d, nil)
+				rm.eps[epResolve].record(time.Second, errors.New("failed"))
+			}
+			rec := buildRecord("t", "t", "closed", 1, 0, time.Second, 1, mix{1, 0, 0}, rm, nil, nil)
+			for row, rep := range map[string]endpointReport{"resolve": rec.Endpoints["resolve"], "total": rec.Total} {
+				if rep.P50Ms == nil || rep.P95Ms == nil || rep.P99Ms == nil || rep.MaxMs == nil || rep.MeanMs == nil {
+					t.Fatalf("%s row lacks latencies: %+v", row, rep)
+				}
+				got := [5]float64{*rep.P50Ms, *rep.P95Ms, *rep.P99Ms, *rep.MaxMs, *rep.MeanMs}
+				if want := [5]float64{tc.p50, tc.p95, tc.p99, tc.max, tc.mean}; got != want {
+					t.Errorf("%s p50/p95/p99/max/mean = %v ms, want %v", row, got, want)
+				}
+				if rep.QPS != float64(len(lat)) || rep.Requests != int64(2*len(lat)) {
+					t.Errorf("%s: %d requests at %v qps, want %d at %d", row, rep.Requests, rep.QPS, 2*len(lat), len(lat))
+				}
+			}
+		})
+	}
+}
+
+// TestMergedQuantile: the total row's quantiles are taken over every
+// endpoint's samples together.
 func TestMergedQuantile(t *testing.T) {
-	rm := newRunMetrics()
+	rm := new(runMetrics)
 	for i := 0; i < 10; i++ {
-		rm.eps[epResolve].record(800*time.Microsecond, nil)    // (0.5ms, 1ms]
-		rm.eps[epIngest].record(1800*time.Microsecond, nil)    // (1ms, 2.5ms]
-		rm.eps[epIncremental].record(40*time.Millisecond, nil) // (25ms, 50ms]
+		rm.eps[epResolve].record(800*time.Microsecond, nil)
+		rm.eps[epIngest].record(1800*time.Microsecond, nil)
+		rm.eps[epIncremental].record(40*time.Millisecond, nil)
 	}
 	rec := buildRecord("t", "t", "closed", 1, 0, time.Second, 1, mix{1, 1, 1}, rm, nil, nil)
 	tot := rec.Total
-	if tot.P50Ms == nil || tot.P95Ms == nil || tot.MaxMs == nil || tot.MeanMs == nil {
+	if tot.P50Ms == nil || tot.P95Ms == nil || tot.P99Ms == nil || tot.MaxMs == nil || tot.MeanMs == nil {
 		t.Fatalf("total row lacks latencies: %+v", tot)
 	}
-	if *tot.P50Ms <= 1 || *tot.P50Ms > 2.5 {
-		t.Errorf("total p50 = %.3f ms, want in (1, 2.5]", *tot.P50Ms)
-	}
-	if *tot.P95Ms <= 25 || *tot.P95Ms > 40 {
-		t.Errorf("total p95 = %.3f ms, want in (25, 40]", *tot.P95Ms)
+	if *tot.P50Ms != 1.8 || *tot.P95Ms != 40 || *tot.P99Ms != 40 {
+		t.Errorf("total p50/p95/p99 = %v/%v/%v ms, want 1.8/40/40", *tot.P50Ms, *tot.P95Ms, *tot.P99Ms)
 	}
 	if *tot.MaxMs != 40 || math.Abs(*tot.MeanMs-(0.8+1.8+40)/3) > 1e-9 {
 		t.Errorf("total max %.3f ms, mean %.3f ms, want 40 and the samples' mean", *tot.MaxMs, *tot.MeanMs)
@@ -116,11 +164,11 @@ func TestMergedQuantile(t *testing.T) {
 }
 
 // TestQuantilesNeverExceedMax: with every sample at the bottom of a wide
-// bucket, interpolating inside the bucket puts p95 and p99 above every
-// sample; each reported quantile must stay at or below the reported max,
-// on the endpoint rows and the total.
+// bucket, where a bucket estimator puts p95 and p99 above every sample,
+// each reported quantile stays at or below the reported max, on the
+// endpoint rows and the total.
 func TestQuantilesNeverExceedMax(t *testing.T) {
-	rm := newRunMetrics()
+	rm := new(runMetrics)
 	for i := 0; i < 100; i++ {
 		rm.eps[epResolve].record(10500*time.Microsecond, nil) // bucket (10ms, 25ms]
 		rm.eps[epIngest].record(time.Duration(11000+i)*time.Microsecond, nil)
@@ -405,7 +453,7 @@ func TestIngestBodyShape(t *testing.T) {
 // TestProgressLoopOutput checks the progress line formatting without
 // waiting for real intervals.
 func TestProgressLoopOutput(t *testing.T) {
-	rm := newRunMetrics()
+	rm := new(runMetrics)
 	m, _ := parseMix("resolve=1")
 	rm.eps[epResolve].record(2*time.Millisecond, nil)
 	var buf bytes.Buffer
@@ -423,6 +471,91 @@ func TestProgressLoopOutput(t *testing.T) {
 	out := buf.String()
 	if !strings.Contains(out, "resolve") || !strings.Contains(out, "p95=") {
 		t.Fatalf("progress output: %q", out)
+	}
+}
+
+// TestProgressLineSinceLast: a progress line reports the requests
+// completed since the previous line, so samples one line reported do
+// not count on the next.
+func TestProgressLineSinceLast(t *testing.T) {
+	rm := new(runMetrics)
+	m := mix{1, 1, 0}
+	var seen [numEndpoints]int
+	line := func(want string) {
+		t.Helper()
+		if got := progressLine(rm, m, &seen, 0, 5*time.Second); got != want {
+			t.Errorf("progress line %q, want %q", got, want)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		rm.eps[epResolve].record(time.Duration(1+i)*time.Millisecond, nil)
+	}
+	rm.eps[epIngest].record(time.Millisecond, errors.New("failed"))
+	line("t=0s | resolve 4/s p95=19ms errs=0 | ingest 0/s p95=- errs=1")
+	line("t=0s | resolve 0/s p95=- errs=0 | ingest 0/s p95=- errs=1")
+	rm.eps[epResolve].record(30*time.Millisecond, nil)
+	line("t=0s | resolve 0/s p95=30ms errs=0 | ingest 0/s p95=- errs=1")
+}
+
+// TestRecordConcurrentHammer records from many goroutines while
+// progress lines and report builds read the same state; make
+// racehammer runs it under the race detector. Every success reaches
+// exactly one progress line and the final report.
+func TestRecordConcurrentHammer(t *testing.T) {
+	const workers, per = 8, 2000
+	rm := new(runMetrics)
+	m := mix{1, 1, 1}
+	var seen [numEndpoints]int
+	done := make(chan struct{})
+	var readers sync.WaitGroup
+	for _, read := range []func(){
+		func() { progressLine(rm, m, &seen, 0, time.Second) },
+		func() { buildRecord("t", "t", "closed", workers, 0, time.Second, 1, m, rm, nil, nil) },
+	} {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+					read()
+				}
+			}
+		}()
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				var err error
+				if i%10 == 0 {
+					err = errors.New("failed")
+				}
+				rm.eps[(w+i)%numEndpoints].record(time.Duration(1+i)*time.Microsecond, err)
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(done)
+	readers.Wait()
+	progressLine(rm, m, &seen, 0, time.Second)
+	rec := buildRecord("t", "t", "closed", workers, 0, time.Second, 1, m, rm, nil, nil)
+	const ok = workers * per * 9 / 10
+	if got := seen[0] + seen[1] + seen[2]; got != ok {
+		t.Errorf("progress lines reported %d samples, want %d", got, ok)
+	}
+	if rec.Total.Requests != workers*per || rec.Total.Errors != workers*per/10 || rec.Total.QPS != ok {
+		t.Errorf("total %d requests, %d errors, %v qps; want %d, %d, %d", rec.Total.Requests, rec.Total.Errors, rec.Total.QPS, workers*per, workers*per/10, ok)
+	}
+	if rec.Total.MaxMs == nil {
+		t.Fatal("total row lacks latencies")
+	}
+	if *rec.Total.MaxMs != per/1000.0 {
+		t.Errorf("total max %v ms, want %v", *rec.Total.MaxMs, per/1000.0)
 	}
 }
 

@@ -7,10 +7,9 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"time"
-
-	"github.com/crhkit/crh/internal/obs"
 )
 
 // endpointReport is one endpoint's measured outcome in the
@@ -70,37 +69,35 @@ type serveRecord struct {
 	SLO *sloResult `json:"slo,omitempty"`
 }
 
-// buildEndpointReport folds one endpoint's metrics into report form.
-func buildEndpointReport(m *epMetrics, wall time.Duration) endpointReport {
-	rep := endpointReport{
-		Requests: m.requests.Load(),
-		Errors:   m.errors.Load(),
-	}
-	snap := m.hist.Snapshot()
+// summarize fills rep's QPS and latency fields from the latencies lat
+// of a run lasting wall, sorting lat in place; the latency fields stay
+// unset when lat is empty. Each quantile is the nearest-rank order
+// statistic, so it is one of the samples.
+func summarize(rep *endpointReport, lat []time.Duration, wall time.Duration) {
 	if wall > 0 {
-		rep.QPS = float64(snap.Count) / wall.Seconds()
+		rep.QPS = float64(len(lat)) / wall.Seconds()
 	}
-	setLatencies(&rep, snap, m.maxNS.Load())
-	return rep
-}
-
-// setLatencies fills rep's latency fields from a histogram snapshot and
-// the largest latency observed, maxNS; it leaves them unset when the
-// snapshot is empty. A quantile interpolates linearly inside its bucket,
-// so with the samples at the bottom of a wide bucket it can land above
-// all of them: each quantile is clamped to the max.
-func setLatencies(rep *endpointReport, snap obs.HistogramSnapshot, maxNS int64) {
-	if snap.Count == 0 {
+	if len(lat) == 0 {
 		return
 	}
-	maxMs := float64(maxNS) / 1e6
-	q := func(p float64) *float64 {
-		v := min(snap.Quantile(p)*1e3, maxMs)
+	slices.Sort(lat)
+	var sum time.Duration
+	for _, d := range lat {
+		sum += d
+	}
+	ms := func(d time.Duration) *float64 {
+		v := float64(d) / 1e6
 		return &v
 	}
-	mean := snap.Sum / float64(snap.Count) * 1e3
-	rep.P50Ms, rep.P95Ms, rep.P99Ms = q(0.50), q(0.95), q(0.99)
-	rep.MaxMs, rep.MeanMs = &maxMs, &mean
+	mean := float64(sum) / float64(len(lat)) / 1e6
+	rep.P50Ms, rep.P95Ms, rep.P99Ms = ms(nearestRank(lat, 50)), ms(nearestRank(lat, 95)), ms(nearestRank(lat, 99))
+	rep.MaxMs, rep.MeanMs = ms(lat[len(lat)-1]), &mean
+}
+
+// nearestRank returns the pct-th percentile (pct in 1..100) of the
+// ascending, non-empty samples: the ⌈pct·n/100⌉-th smallest.
+func nearestRank(sorted []time.Duration, pct int) time.Duration {
+	return sorted[(pct*len(sorted)+99)/100-1]
 }
 
 // buildRecord assembles the full run record.
@@ -119,36 +116,24 @@ func buildRecord(name, profile, mode string, conc int, rate float64, wall time.D
 		Endpoints:      make(map[string]endpointReport, numEndpoints),
 		LateDispatches: rm.late.Load(),
 	}
-	var totalReq, totalErr, maxNS int64
-	// The total row's quantiles come from the per-endpoint histograms
-	// merged: counts and sums add.
-	var total obs.HistogramSnapshot
-	for i, em := range rm.eps {
+	// The total row is taken over every endpoint's samples together.
+	var all []time.Duration
+	for i := range rm.eps {
+		em := &rm.eps[i]
 		if em.requests.Load() == 0 && m[i] == 0 {
 			continue
 		}
-		rep := buildEndpointReport(em, wall)
+		rep := endpointReport{Requests: em.requests.Load(), Errors: em.errors.Load()}
+		lat := em.latencies(0)
+		summarize(&rep, lat, wall)
 		rec.Endpoints[endpointNames[i]] = rep
-		totalReq += rep.Requests
-		totalErr += rep.Errors
-		snap := em.hist.Snapshot()
-		if total.Counts == nil {
-			total.Bounds, total.Counts = snap.Bounds, make([]int64, len(snap.Counts))
-		}
-		for j, c := range snap.Counts {
-			total.Counts[j] += c
-		}
-		total.Count += snap.Count
-		total.Sum += snap.Sum
-		maxNS = max(maxNS, em.maxNS.Load())
+		rec.Total.Requests += rep.Requests
+		rec.Total.Errors += rep.Errors
+		all = append(all, lat...)
 	}
-	rec.Total = endpointReport{Requests: totalReq, Errors: totalErr}
-	if wall > 0 {
-		rec.Total.QPS = float64(total.Count) / wall.Seconds()
-	}
-	setLatencies(&rec.Total, total, maxNS)
-	if totalReq > 0 {
-		rec.ErrorRate = float64(totalErr) / float64(totalReq)
+	summarize(&rec.Total, all, wall)
+	if rec.Total.Requests > 0 {
+		rec.ErrorRate = float64(rec.Total.Errors) / float64(rec.Total.Requests)
 	}
 	rec.StageSharesPct = stageShares(before, after)
 	return rec

@@ -181,7 +181,8 @@ func ListBaselines() []string { return baseline.Names() }
 func BaselineByName(name string) (Method, bool) { return baseline.ByName(name) }
 
 // WriteDataset encodes a dataset (and optional ground truth, which may be
-// nil) to w in the library's line-oriented TSV format.
+// nil) to w in the library's line-oriented TSV format. It fails before
+// writing anything when a name holds a tab or a newline.
 func WriteDataset(w io.Writer, d *Dataset, gt *Table) error { return data.Encode(w, d, gt) }
 
 // ReadDataset decodes a dataset (and ground truth, nil when the input has

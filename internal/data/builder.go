@@ -46,6 +46,22 @@ func NewBuilder() *Builder {
 	}
 }
 
+// Schema returns an empty Builder holding b's sources and properties,
+// in b's order and with their types, but no objects, categories, rows
+// or timestamps. A Dataset built from it numbers every source and
+// property as b does, so per-source state kept across such Datasets
+// (I-CRH's chunks) stays aligned.
+func (b *Builder) Schema() *Builder {
+	c := NewBuilder()
+	for _, s := range b.sources {
+		c.Source(s)
+	}
+	for _, p := range b.props {
+		c.MustProperty(p.Name, p.Type)
+	}
+	return c
+}
+
 // Object interns an object name and returns its index.
 func (b *Builder) Object(name string) int {
 	if id, ok := b.objByID[name]; ok {

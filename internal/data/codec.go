@@ -23,8 +23,13 @@ import (
 // how to parse values.
 
 // Encode writes d (and the optional partial ground truth gt, which may be
-// nil) to w in the TSV format above.
+// nil) to w in the TSV format above. It fails before writing anything
+// when a name of d holds a tab or a newline, which the format cannot
+// carry.
 func Encode(w io.Writer, d *Dataset, gt *Table) error {
+	if err := checkNames(d); err != nil {
+		return err
+	}
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "# crh dataset: %d sources, %d objects, %d properties, %d observations\n",
 		d.NumSources(), d.NumObjects(), d.NumProps(), d.NumObservations())
@@ -65,6 +70,30 @@ func Encode(w io.Writer, d *Dataset, gt *Table) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// checkNames returns an error naming the first object, source, property
+// or category of d that holds a tab or a newline.
+func checkNames(d *Dataset) error {
+	var err error
+	check := func(kind, name string) {
+		if err == nil && strings.ContainsAny(name, "\t\n") {
+			err = fmt.Errorf("data: %s %q holds a tab or a newline", kind, name)
+		}
+	}
+	for _, o := range d.objects {
+		check("object", o)
+	}
+	for _, s := range d.sources {
+		check("source", s)
+	}
+	for _, p := range d.props {
+		check("property", p.Name)
+		for _, c := range p.cats {
+			check("category", c)
+		}
+	}
+	return err
 }
 
 // Decode parses the TSV format, returning the dataset and the ground-truth

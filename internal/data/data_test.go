@@ -47,6 +47,43 @@ func TestBuilderBasics(t *testing.T) {
 	}
 }
 
+// TestSchema: Schema keeps b's sources and properties, in order and
+// with their types, and nothing else; interning into it leaves b
+// unchanged.
+func TestSchema(t *testing.T) {
+	b := NewBuilder()
+	if err := b.ObserveCat("s2", "o1", "cond", "rain"); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.ObserveFloat("s1", "o1", "temp", 3); err != nil {
+		t.Fatal(err)
+	}
+	b.SetTimestamp("o2", 4)
+	c := b.Schema()
+	if c.NumSources() != 2 || c.SourceName(0) != "s2" || c.SourceName(1) != "s1" {
+		t.Errorf("schema sources %d, want s2, s1", c.NumSources())
+	}
+	if c.NumProps() != 2 || c.Prop(0).Name != "cond" || c.Prop(0).Type != Categorical ||
+		c.Prop(1).Name != "temp" || c.Prop(1).Type != Continuous {
+		t.Errorf("schema properties %d, want cond (categorical), temp (continuous)", c.NumProps())
+	}
+	if c.NumObjects() != 0 || c.NumRows() != 0 || c.Prop(0).NumCats() != 0 || c.Build().HasTimestamps() {
+		t.Errorf("schema holds %d objects, %d rows, %d categories or timestamps; want none",
+			c.NumObjects(), c.NumRows(), c.Prop(0).NumCats())
+	}
+	if err := c.ObserveCat("s3", "o3", "cond", "snow"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.ObserveFloat("s1", "o4", "wind", 2); err != nil {
+		t.Fatal(err)
+	}
+	c.SetTimestamp("o4", 9)
+	if b.NumSources() != 2 || b.NumObjects() != 2 || b.NumProps() != 2 || b.NumRows() != 2 || b.Prop(0).NumCats() != 1 {
+		t.Errorf("interning into the schema changed its source: %d sources, %d objects, %d properties, %d rows, %d categories",
+			b.NumSources(), b.NumObjects(), b.NumProps(), b.NumRows(), b.Prop(0).NumCats())
+	}
+}
+
 func TestTypedAccess(t *testing.T) {
 	d := buildSample(t)
 	if d.Prop(0).Name != "temp" || d.Prop(0).Type != Continuous {
@@ -277,6 +314,46 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 	if err := d2.Validate(); err != nil {
 		t.Fatalf("decoded Validate: %v", err)
+	}
+}
+
+// TestEncodeRejectsUnwritableNames: a tab or a newline in a name would
+// split or end its record, so Encode fails, naming the kind and the
+// name, before writing anything. A carriage return passes: Decode can
+// produce a name holding one.
+func TestEncodeRejectsUnwritableNames(t *testing.T) {
+	for _, tc := range []struct {
+		claims [][4]string // source, object, property, categorical value
+		want   string      // error text; empty for a dataset that encodes
+	}{
+		{[][4]string{{"s1", "a\tb", "p", "x"}, {"s1", "c", "p", "y\n"}}, `object "a\tb"`},
+		{[][4]string{{"s1", "c", "p", "y\n"}}, `category "y\n"`},
+		{[][4]string{{"s\n1", "c", "p", "x"}}, `source "s\n1"`},
+		{[][4]string{{"s1", "c", "p\tq", "x"}}, `property "p\tq"`},
+		{[][4]string{{"s\r1", "c\r", "p\r", "x\ry"}}, ""},
+	} {
+		b := NewBuilder()
+		for _, c := range tc.claims {
+			if err := b.ObserveCat(c[0], c[1], c[2], c[3]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var buf bytes.Buffer
+		err := Encode(&buf, b.Build(), nil)
+		if tc.want == "" {
+			if err != nil {
+				t.Errorf("%q: %v", tc.claims, err)
+			} else if _, _, err := Decode(&buf); err != nil {
+				t.Errorf("%q: decoding the encoded dataset: %v", tc.claims, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%q: Encode error %v, want one naming %s", tc.claims, err, tc.want)
+		}
+		if buf.Len() > 0 {
+			t.Errorf("%q: Encode wrote %d bytes before failing", tc.claims, buf.Len())
+		}
 	}
 }
 

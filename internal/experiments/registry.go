@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sort"
 )
 
 // Experiment is a regenerable table or figure.
@@ -13,31 +12,34 @@ type Experiment struct {
 	Run     func(Scale) *Report
 }
 
+// all lists every experiment in the paper's presentation order, the
+// extensions last.
+var all = []Experiment{
+	{"table1", "Statistics of real-world data sets", Table1},
+	{"table2", "Performance comparison on real-world data sets", Table2},
+	{"fig1", "Source reliability vs ground truth (weather)", Fig1},
+	{"table3", "Statistics of simulated data sets", Table3},
+	{"table4", "Performance comparison on simulated data sets", Table4},
+	{"fig2", "Performance w.r.t. # reliable sources (Adult)", Fig2},
+	{"fig3", "Performance w.r.t. # reliable sources (Bank)", Fig3},
+	{"table5", "CRH vs I-CRH", Table5},
+	{"fig4", "I-CRH weight trajectories vs CRH", Fig4},
+	{"fig5", "I-CRH w.r.t. time window", Fig5},
+	{"fig6", "I-CRH w.r.t. decay rate", Fig6},
+	{"table6", "Parallel CRH running time vs observations", Table6},
+	{"fig7", "Parallel CRH running time vs entries/sources", Fig7},
+	{"fig8", "Parallel CRH running time vs reducers", Fig8},
+	// Extension experiments: features the paper discusses or defers
+	// but does not evaluate.
+	{"ext-longtail", "[extension] CATD confidence-aware weights on long-tail data", ExtLongTail},
+	{"ext-copycat", "[extension] AccuCopy source-dependence detection", ExtCopycat},
+	{"ext-groups", "[extension] Per-property source weights", ExtGroups},
+}
+
 // Registry returns all experiments keyed by ID.
 func Registry() map[string]Experiment {
-	exps := []Experiment{
-		{"table1", "Statistics of real-world data sets", Table1},
-		{"table2", "Performance comparison on real-world data sets", Table2},
-		{"fig1", "Source reliability vs ground truth (weather)", Fig1},
-		{"table3", "Statistics of simulated data sets", Table3},
-		{"table4", "Performance comparison on simulated data sets", Table4},
-		{"fig2", "Performance w.r.t. # reliable sources (Adult)", Fig2},
-		{"fig3", "Performance w.r.t. # reliable sources (Bank)", Fig3},
-		{"table5", "CRH vs I-CRH", Table5},
-		{"fig4", "I-CRH weight trajectories vs CRH", Fig4},
-		{"fig5", "I-CRH w.r.t. time window", Fig5},
-		{"fig6", "I-CRH w.r.t. decay rate", Fig6},
-		{"table6", "Parallel CRH running time vs observations", Table6},
-		{"fig7", "Parallel CRH running time vs entries/sources", Fig7},
-		{"fig8", "Parallel CRH running time vs reducers", Fig8},
-		// Extension experiments: features the paper discusses or defers
-		// but does not evaluate.
-		{"ext-longtail", "[extension] CATD confidence-aware weights on long-tail data", ExtLongTail},
-		{"ext-copycat", "[extension] AccuCopy source-dependence detection", ExtCopycat},
-		{"ext-groups", "[extension] Per-property source weights", ExtGroups},
-	}
-	m := make(map[string]Experiment, len(exps))
-	for _, e := range exps {
+	m := make(map[string]Experiment, len(all))
+	for _, e := range all {
 		m[e.ID] = e
 	}
 	return m
@@ -45,27 +47,11 @@ func Registry() map[string]Experiment {
 
 // IDs returns the experiment IDs in presentation order.
 func IDs() []string {
-	ids := make([]string, 0)
-	for id := range Registry() {
-		ids = append(ids, id)
+	ids := make([]string, len(all))
+	for i, e := range all {
+		ids[i] = e.ID
 	}
-	sort.Slice(ids, func(i, j int) bool { return orderKey(ids[i]) < orderKey(ids[j]) })
 	return ids
-}
-
-// orderKey sorts tables and figures in the paper's presentation order.
-func orderKey(id string) string {
-	order := map[string]string{
-		"table1": "01", "table2": "02", "fig1": "03", "table3": "04",
-		"table4": "05", "fig2": "06", "fig3": "07", "table5": "08",
-		"fig4": "09", "fig5": "10", "fig6": "11", "table6": "12",
-		"fig7": "13", "fig8": "14",
-		"ext-longtail": "20", "ext-copycat": "21", "ext-groups": "22",
-	}
-	if k, ok := order[id]; ok {
-		return k
-	}
-	return "99" + id
 }
 
 // RunAll executes every experiment at the given scale, rendering each

@@ -56,7 +56,8 @@ var walImporters = []string{walDir, serverDir, "cmd/crhbench"} // see walDir
 // internal subtree it may import. crhload exists to measure crhd from the
 // outside, so it must see the server exactly as real clients do — over
 // HTTP, with its own mirrored JSON shapes — and may share only the
-// observability substrate (histograms, windows) for its measurements.
+// observability subtree, of which it takes internal/obs/buildinfo (for
+// -version).
 const crhloadDir = "cmd/crhload"
 
 var crhloadAllowed = []string{"internal/obs"} // see crhloadDir

@@ -459,20 +459,12 @@ func (l *claimLog) warmTruths(prev *data.Table, d, chunk *data.Dataset, truths *
 	return t
 }
 
-// chunk materializes the batch as an I-CRH chunk. All sources and
-// properties known so far are interned first, in global order, so the
-// processor's per-source state stays aligned across chunks (the same
-// contract stream.TSVStream documents). defaultTS stamps observations
-// that carry no explicit timestamp.
+// chunk materializes the batch as an I-CRH chunk. It starts from the
+// log's Schema, so the processor's per-source state stays aligned
+// across chunks. defaultTS stamps observations that carry no explicit
+// timestamp.
 func (l *claimLog) chunk(batch []wal.Obs, defaultTS int) *data.Dataset {
-	b := data.NewBuilder()
-	for k := 0; k < l.b.NumSources(); k++ {
-		b.Source(l.b.SourceName(k))
-	}
-	for m := 0; m < l.b.NumProps(); m++ {
-		p := l.b.Prop(m)
-		b.MustProperty(p.Name, p.Type)
-	}
+	b := l.b.Schema()
 	for _, o := range batch {
 		obj := b.Object(o.Object)
 		ts := defaultTS

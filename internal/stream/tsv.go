@@ -41,11 +41,9 @@ type TSVStream struct {
 	window int
 	lineno int
 
-	// Global registries preserved across chunks.
-	props     []streamProp
-	propByID  map[string]int
-	sources   []string
-	srcByID   map[string]int
+	// reg interns the sources and properties seen so far, in order;
+	// every chunk starts from its Schema. It holds no rows.
+	reg       *data.Builder
 	objTS     map[string]int // objects of open and later windows
 	seenMaxTS int
 	started   bool
@@ -54,11 +52,6 @@ type TSVStream struct {
 	// pending holds the first record of the next window.
 	pending *streamRec
 	eof     bool
-}
-
-type streamProp struct {
-	name string
-	typ  data.Type
 }
 
 type streamRec struct {
@@ -78,16 +71,15 @@ func NewTSVStream(r io.Reader, window int) (*TSVStream, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
 	return &TSVStream{
-		sc:       sc,
-		window:   window,
-		propByID: make(map[string]int),
-		srcByID:  make(map[string]int),
-		objTS:    make(map[string]int),
+		sc:     sc,
+		window: window,
+		reg:    data.NewBuilder(),
+		objTS:  make(map[string]int),
 	}, nil
 }
 
 // NumSources returns the number of distinct sources seen so far.
-func (t *TSVStream) NumSources() int { return len(t.sources) }
+func (t *TSVStream) NumSources() int { return t.reg.NumSources() }
 
 // Next returns the next window's chunk, or io.EOF when the stream ends.
 // Ground-truth (T) records are ignored — a live stream has none.
@@ -153,14 +145,9 @@ func (t *TSVStream) Next() (Chunk, error) {
 			default:
 				return Chunk{}, fail("unknown property type " + f[2])
 			}
-			if id, ok := t.propByID[f[1]]; ok {
-				if t.props[id].typ != typ {
-					return Chunk{}, fail("property " + f[1] + " redeclared with different type")
-				}
-				continue
+			if _, err := t.reg.Property(f[1], typ); err != nil {
+				return Chunk{}, fail(err.Error())
 			}
-			t.propByID[f[1]] = len(t.props)
-			t.props = append(t.props, streamProp{f[1], typ})
 		case "O":
 			if len(f) != 3 {
 				return Chunk{}, fail("O record needs 2 fields")
@@ -180,7 +167,7 @@ func (t *TSVStream) Next() (Chunk, error) {
 			if len(f) != 5 {
 				return Chunk{}, fail("V record needs 4 fields")
 			}
-			pid, ok := t.propByID[f[2]]
+			pid, ok := t.reg.PropertyIndex(f[2])
 			if !ok {
 				return Chunk{}, fail("property " + f[2] + " not declared")
 			}
@@ -188,13 +175,7 @@ func (t *TSVStream) Next() (Chunk, error) {
 			if !ok {
 				return Chunk{}, fail("object " + f[1] + " has no O (timestamp) record in an open window")
 			}
-			sid, ok := t.srcByID[f[3]]
-			if !ok {
-				sid = len(t.sources)
-				t.srcByID[f[3]] = sid
-				t.sources = append(t.sources, f[3])
-			}
-			if t.props[pid].typ == data.Continuous {
+			if t.reg.Prop(pid).Type == data.Continuous {
 				x, err := strconv.ParseFloat(f[4], 64)
 				if err != nil {
 					return Chunk{}, fail("bad continuous value: " + err.Error())
@@ -203,7 +184,7 @@ func (t *TSVStream) Next() (Chunk, error) {
 					return Chunk{}, fail("non-finite continuous value " + f[4])
 				}
 			}
-			if !take(&streamRec{obj: f[1], prop: pid, src: sid, val: f[4], ts: ts}) {
+			if !take(&streamRec{obj: f[1], prop: pid, src: t.reg.Source(f[3]), val: f[4], ts: ts}) {
 				return t.buildChunk(recs, winStart)
 			}
 		case "T":
@@ -223,32 +204,24 @@ func (t *TSVStream) Next() (Chunk, error) {
 	return t.buildChunk(recs, winStart)
 }
 
-// buildChunk materializes one window. All sources seen so far are
-// interned first, in global order, so source indices stay aligned across
-// chunks.
+// buildChunk materializes one window. It starts from the registry's
+// Schema, so source and property indices stay aligned across chunks.
 func (t *TSVStream) buildChunk(recs []*streamRec, winStart int) (Chunk, error) {
-	b := data.NewBuilder()
-	for _, s := range t.sources {
-		b.Source(s)
-	}
-	propIdx := make([]int, len(t.props))
-	for i, p := range t.props {
-		propIdx[i] = b.MustProperty(p.name, p.typ)
-	}
+	b := t.reg.Schema()
 	for _, r := range recs {
 		obj := b.Object(r.obj)
 		b.SetTimestampIdx(obj, r.ts)
 		var v data.Value
-		if t.props[r.prop].typ == data.Continuous {
+		if b.Prop(r.prop).Type == data.Continuous {
 			x, _ := strconv.ParseFloat(r.val, 64) // validated at read time
 			v = data.Float(x)
 		} else {
-			v = data.Cat(b.CatValue(propIdx[r.prop], r.val))
+			v = data.Cat(b.CatValue(r.prop, r.val))
 		}
-		b.ObserveIdx(r.src, obj, propIdx[r.prop], v)
+		b.ObserveIdx(r.src, obj, r.prop, v)
 	}
 	return Chunk{Timestamp: winStart, Data: b.Build()}, nil
 }
 
 // SourceName returns the name of the kth source seen so far.
-func (t *TSVStream) SourceName(k int) string { return t.sources[k] }
+func (t *TSVStream) SourceName(k int) string { return t.reg.SourceName(k) }

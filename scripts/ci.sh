@@ -3,11 +3,13 @@
 #
 # Runs, in order:
 #   1. make check      build + vet + crhlint + tests under the race
-#                      detector (incl. the obs/server concurrency hammers)
+#                      detector (incl. the obs/server/crhload concurrency
+#                      hammers)
 #   2. make lint       redundant with check, but prints lint findings on
 #                      their own so a lint failure is easy to spot in logs
-#   3. make racehammer the core/obs/server concurrency hammers again, on
-#                      their own so a data race is attributed in the logs
+#   3. make racehammer the core/obs/server/crhload concurrency hammers
+#                      again, on their own so a data race is attributed in
+#                      the logs
 #   4. equivalence     the parallel-vs-sequential bit-identity suite on
 #                      its own (docs/PARALLEL.md's contract), so a
 #                      determinism regression is named in the logs
