@@ -3,10 +3,13 @@
 #   make lint       project-specific static analysis (cmd/crhlint)
 #   make test       fast test run (no race detector)
 #   make bench      all benchmarks
-#   make benchjson  machine-readable BENCH_<id>.json experiment records
+#   make benchjson  machine-readable BENCH_<id>.json records: experiments,
+#                   workers, ingest and scale sweeps
 #   make racehammer concurrency hammer tests (core + obs + server +
 #                   crhload), repeated
-#   make fuzz       short fuzz pass over every fuzz target (committed
+#   make fuzz       short fuzz pass over every fuzz target: the TSV
+#                   decoder, the live TSV stream, the solver, the WAL
+#                   record codec and the resolve encoder (committed
 #                   corpora always run as part of `make test` already)
 #   make walcheck   kill -9 a crhd subprocess mid-ingest and prove the
 #                   recovered state is bit-identical to an uncrashed replay
@@ -44,6 +47,7 @@ benchjson:
 	$(GO) run ./cmd/crhbench -exp all -scale small -json .
 	$(GO) run ./cmd/crhbench -workers 1,2,4,8 -scale small -json .
 	$(GO) run ./cmd/crhbench -ingest off,interval,batch -json .
+	$(GO) run ./cmd/crhbench -scales medium,large -json .
 
 racehammer:
 	$(GO) test -race -count=2 -run 'Concurrent|Hammer' ./internal/core/... ./internal/obs/... ./internal/server/... ./cmd/crhload/
@@ -52,6 +56,7 @@ racehammer:
 # its own line.
 fuzz:
 	$(GO) test -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/data/
+	$(GO) test -fuzz=FuzzTSVStream -fuzztime=$(FUZZTIME) ./internal/stream/
 	$(GO) test -fuzz=FuzzRunSmall -fuzztime=$(FUZZTIME) ./internal/core/
 	$(GO) test -fuzz=FuzzWALRecord -fuzztime=$(FUZZTIME) ./internal/wal/
 	$(GO) test -fuzz=FuzzEncodeResolveResponse -fuzztime=$(FUZZTIME) ./internal/server/

@@ -13,6 +13,7 @@ package crh_test
 // exist so the cost of every experiment is tracked alongside the code.
 
 import (
+	"bytes"
 	"io"
 	"testing"
 
@@ -109,6 +110,27 @@ func BenchmarkICRHWeather(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkReadDatasetFlight measures decoding a Flight simulation of
+// 584,072 claims from the TSV format: perfbench's resolve-cold upload at
+// its seed 1 (generator seed 256). lines/op is the input's line count,
+// for reading allocs/op as allocations per line.
+func BenchmarkReadDatasetFlight(b *testing.B) {
+	d, _ := crh.GenerateFlight(crh.FlightOptions{Seed: 256})
+	var buf bytes.Buffer
+	if err := crh.WriteDataset(&buf, d, nil); err != nil {
+		b.Fatal(err)
+	}
+	lines := bytes.Count(buf.Bytes(), []byte{'\n'})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := crh.ReadDataset(bytes.NewReader(buf.Bytes())); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(lines), "lines/op")
 }
 
 // BenchmarkParallelCRH measures the MapReduce fusion end to end.

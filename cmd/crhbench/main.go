@@ -142,13 +142,19 @@ func runMeasured(e experiments.Experiment, s experiments.Scale, scaleName string
 	}
 }
 
-// writeRecord marshals one benchmark record to dir/BENCH_<name>.json.
-func writeRecord(dir string, rec benchRecord) error {
+// writeRecord marshals one benchmark record to dir/BENCH_<name>.json
+// and reports the path on stderr.
+func writeRecord(dir string, rec benchRecord, stderr io.Writer) error {
 	buf, err := json.MarshalIndent(rec, "", "  ")
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(filepath.Join(dir, "BENCH_"+rec.Name+".json"), append(buf, '\n'), 0o644)
+	path := filepath.Join(dir, "BENCH_"+rec.Name+".json")
+	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(stderr, "crhbench: wrote %s\n", path)
+	return nil
 }
 
 // sameBits reports the first divergence between two solver results, or
@@ -170,6 +176,41 @@ func sameBits(d *data.Dataset, ref, got *core.Result) error {
 		}
 	}
 	return nil
+}
+
+// timedSolve times one core.Run of d at the given worker budget and,
+// unless ref is nil, checks the result bit for bit against ref. The
+// record holds the run's wall time, allocation deltas and resolved
+// truth count; the caller names it. A failure is reported on stderr
+// under label, and the result is then nil.
+func timedSolve(d *data.Dataset, ref *core.Result, workers int, label string, stderr io.Writer) (*core.Result, benchRecord) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	t0 := time.Now()
+	res, err := core.Run(d, core.Config{Workers: workers})
+	wall := time.Since(t0)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		fmt.Fprintf(stderr, "crhbench: %s: %v\n", label, err)
+		return nil, benchRecord{}
+	}
+	if ref != nil {
+		if err := sameBits(d, ref, res); err != nil {
+			fmt.Fprintf(stderr, "crhbench: %s diverged from sequential run: %v\n", label, err)
+			return nil, benchRecord{}
+		}
+	}
+	return res, benchRecord{
+		Runs:         1,
+		WallNs:       wall.Nanoseconds(),
+		NsPerOp:      wall.Nanoseconds(),
+		AllocBytes:   after.TotalAlloc - before.TotalAlloc,
+		AllocObjects: after.Mallocs - before.Mallocs,
+		TableRows:    res.Truths.Count(),
+		GoVersion:    runtime.Version(),
+		GoMaxProcs:   runtime.GOMAXPROCS(0),
+		Workers:      workers,
+	}
 }
 
 // runWorkersSweep times core.Run on the Bank simulation once per worker
@@ -194,51 +235,29 @@ func runWorkersSweep(list string, s experiments.Scale, scaleName, jsonDir string
 	fmt.Fprintf(stdout, "workers sweep: Bank simulation, %d entries, %d sources, gomaxprocs=%d\n",
 		d.NumEntries(), d.NumSources(), runtime.GOMAXPROCS(0))
 	for _, k := range budgets {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		t0 := time.Now()
-		res, err := core.Run(d, core.Config{Workers: k})
-		wall := time.Since(t0)
-		runtime.ReadMemStats(&after)
-		if err != nil {
-			fmt.Fprintf(stderr, "crhbench: workers=%d: %v\n", k, err)
-			return 1
-		}
-		if err := sameBits(d, ref, res); err != nil {
-			fmt.Fprintf(stderr, "crhbench: workers=%d diverged from sequential run: %v\n", k, err)
+		res, rec := timedSolve(d, ref, k, fmt.Sprintf("workers=%d", k), stderr)
+		if res == nil {
 			return 1
 		}
 		fmt.Fprintf(stdout, "workers=%d: %v, %d iterations, bit-identical to sequential\n",
-			k, wall.Round(time.Microsecond), res.Iterations)
+			k, time.Duration(rec.WallNs).Round(time.Microsecond), res.Iterations)
 		if jsonDir == "" {
 			continue
 		}
-		rec := benchRecord{
-			Name:         fmt.Sprintf("workers-%d", k),
-			Caption:      fmt.Sprintf("Parallel CRH solver on the Bank simulation, worker budget %d", k),
-			Scale:        scaleName,
-			Runs:         1,
-			WallNs:       wall.Nanoseconds(),
-			NsPerOp:      wall.Nanoseconds(),
-			AllocBytes:   after.TotalAlloc - before.TotalAlloc,
-			AllocObjects: after.Mallocs - before.Mallocs,
-			TableRows:    res.Truths.Count(),
-			GoVersion:    runtime.Version(),
-			GoMaxProcs:   runtime.GOMAXPROCS(0),
-			Workers:      k,
-		}
-		if err := writeRecord(jsonDir, rec); err != nil {
+		rec.Name = fmt.Sprintf("workers-%d", k)
+		rec.Caption = fmt.Sprintf("Parallel CRH solver on the Bank simulation, worker budget %d", k)
+		rec.Scale = scaleName
+		if err := writeRecord(jsonDir, rec, stderr); err != nil {
 			fmt.Fprintf(stderr, "crhbench: %v\n", err)
 			return 1
 		}
-		fmt.Fprintf(stderr, "crhbench: wrote %s\n", filepath.Join(jsonDir, "BENCH_"+rec.Name+".json"))
 	}
 	return 0
 }
 
 // scaleTiers maps -scales tier names to Bank simulation ground-truth
 // row counts. The small tier matches the workers sweep's dataset
-// (experiments.BankData at ScaleSmall uses the same generator seed) so
+// (experiments.BankData at ScaleSmall, with the same generator seed) so
 // scale records chain onto the existing worker records; medium and
 // large grow the entry count 4× and 12× to put the claim columns,
 // the shard partials, and the scratch reuse well past cache-resident
@@ -248,10 +267,6 @@ var scaleTiers = map[string]int{
 	"medium": 8000,
 	"large":  24000,
 }
-
-// bankSeed mirrors experiments.BankData's generator seed (2014 + 4) so
-// the small tier reproduces the workers sweep's dataset exactly.
-const bankSeed = 2018
 
 // runScaleSweep times the solver on the Bank simulation once per tier,
 // sequentially and at an 8-worker budget, cross-checking the two runs
@@ -265,31 +280,19 @@ func runScaleSweep(list, jsonDir string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "crhbench: unknown -scales tier %q (want small, medium or large)\n", tier)
 			return 2
 		}
-		d, _ := synth.Bank(synth.UCIConfig{Seed: bankSeed, Rows: rows})
+		d, _ := synth.Bank(synth.UCIConfig{Seed: experiments.BankSeed, Rows: rows})
 		fmt.Fprintf(stdout, "scale=%s: Bank simulation, %d entries, %d sources, gomaxprocs=%d\n",
 			tier, d.NumEntries(), d.NumSources(), runtime.GOMAXPROCS(0))
 
-		t0 := time.Now()
-		ref, err := core.Run(d, core.Config{Workers: 1})
-		seqWall := time.Since(t0)
-		if err != nil {
-			fmt.Fprintf(stderr, "crhbench: scale=%s sequential: %v\n", tier, err)
+		ref, seq := timedSolve(d, nil, 1, "scale="+tier+" sequential", stderr)
+		if ref == nil {
 			return 1
 		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		t1 := time.Now()
-		res, err := core.Run(d, core.Config{Workers: parWorkers})
-		parWall := time.Since(t1)
-		runtime.ReadMemStats(&after)
-		if err != nil {
-			fmt.Fprintf(stderr, "crhbench: scale=%s workers=%d: %v\n", tier, parWorkers, err)
+		res, rec := timedSolve(d, ref, parWorkers, fmt.Sprintf("scale=%s workers=%d", tier, parWorkers), stderr)
+		if res == nil {
 			return 1
 		}
-		if err := sameBits(d, ref, res); err != nil {
-			fmt.Fprintf(stderr, "crhbench: scale=%s workers=%d diverged from sequential run: %v\n", tier, parWorkers, err)
-			return 1
-		}
+		seqWall, parWall := time.Duration(seq.WallNs), time.Duration(rec.WallNs)
 		var speedup float64
 		shown := "n/a, workers > gomaxprocs"
 		if parWorkers <= runtime.GOMAXPROCS(0) {
@@ -301,27 +304,14 @@ func runScaleSweep(list, jsonDir string, stdout, stderr io.Writer) int {
 		if jsonDir == "" {
 			continue
 		}
-		rec := benchRecord{
-			Name:         "scale-" + tier,
-			Caption:      fmt.Sprintf("CRH solver scale sweep on the Bank simulation, %d rows (%d entries)", rows, d.NumEntries()),
-			Scale:        tier,
-			Runs:         1,
-			WallNs:       parWall.Nanoseconds(),
-			NsPerOp:      parWall.Nanoseconds(),
-			AllocBytes:   after.TotalAlloc - before.TotalAlloc,
-			AllocObjects: after.Mallocs - before.Mallocs,
-			TableRows:    res.Truths.Count(),
-			GoVersion:    runtime.Version(),
-			GoMaxProcs:   runtime.GOMAXPROCS(0),
-			Workers:      parWorkers,
-			SeqWallNs:    seqWall.Nanoseconds(),
-			Speedup:      speedup,
-		}
-		if err := writeRecord(jsonDir, rec); err != nil {
+		rec.Name = "scale-" + tier
+		rec.Caption = fmt.Sprintf("CRH solver scale sweep on the Bank simulation, %d rows (%d entries)", rows, d.NumEntries())
+		rec.Scale = tier
+		rec.SeqWallNs, rec.Speedup = seq.WallNs, speedup
+		if err := writeRecord(jsonDir, rec, stderr); err != nil {
 			fmt.Fprintf(stderr, "crhbench: %v\n", err)
 			return 1
 		}
-		fmt.Fprintf(stderr, "crhbench: wrote %s\n", filepath.Join(jsonDir, "BENCH_"+rec.Name+".json"))
 	}
 	return 0
 }
@@ -357,98 +347,108 @@ func ingestStream(batches, obsPerBatch int) [][]wal.Obs {
 	return out
 }
 
+// ingestBatches and ingestObsPerBatch size the ingest sweep's stream.
+const ingestBatches, ingestObsPerBatch = 2000, 50
+
 // runIngestSweep measures durable WAL append throughput once per fsync
 // policy, then replays each log and cross-checks the recovered stream
 // bit-for-bit against what was appended before any record is written.
 // crhbench is the one binary outside internal/server allowed to import
 // internal/wal, precisely for this benchmark (docs/LINT.md).
 func runIngestSweep(list, jsonDir string, stdout, stderr io.Writer) int {
-	const batches, obsPerBatch = 2000, 50
-	stream := ingestStream(batches, obsPerBatch)
+	stream := ingestStream(ingestBatches, ingestObsPerBatch)
 	fmt.Fprintf(stdout, "ingest sweep: %d batches x %d observations, gomaxprocs=%d\n",
-		batches, obsPerBatch, runtime.GOMAXPROCS(0))
+		ingestBatches, ingestObsPerBatch, runtime.GOMAXPROCS(0))
 	for _, field := range strings.Split(list, ",") {
 		policy, err := wal.ParseFsyncPolicy(strings.TrimSpace(field))
 		if err != nil {
 			fmt.Fprintf(stderr, "crhbench: %v\n", err)
 			return 2
 		}
-		dir, err := os.MkdirTemp("", "crhbench-ingest-*")
-		if err != nil {
-			fmt.Fprintf(stderr, "crhbench: %v\n", err)
-			return 1
+		if code := ingestPolicy(policy, stream, jsonDir, stdout, stderr); code != 0 {
+			return code
 		}
-		defer os.RemoveAll(dir)
+	}
+	return 0
+}
 
-		l, _, err := wal.OpenLog(dir, wal.Options{Fsync: policy})
-		if err != nil {
-			fmt.Fprintf(stderr, "crhbench: %v\n", err)
-			return 1
-		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		t0 := time.Now()
-		for i, b := range stream {
-			if err := l.AppendBatch(int64(i+2), b); err != nil {
-				fmt.Fprintf(stderr, "crhbench: append under fsync=%s: %v\n", policy, err)
-				return 1
-			}
-		}
-		if err := l.Close(); err != nil {
-			fmt.Fprintf(stderr, "crhbench: %v\n", err)
-			return 1
-		}
-		wall := time.Since(t0)
-		runtime.ReadMemStats(&after)
+// ingestPolicy runs the ingest sweep for one fsync policy in a
+// temporary directory, which it removes before returning.
+func ingestPolicy(policy wal.FsyncPolicy, stream [][]wal.Obs, jsonDir string, stdout, stderr io.Writer) int {
+	dir, err := os.MkdirTemp("", "crhbench-ingest-*")
+	if err != nil {
+		fmt.Fprintf(stderr, "crhbench: %v\n", err)
+		return 1
+	}
+	defer os.RemoveAll(dir)
 
-		// Replay integrity: the log must hand back the exact stream.
-		l2, replayed, err := wal.OpenLog(dir, wal.Options{})
-		if err != nil {
-			fmt.Fprintf(stderr, "crhbench: reopen under fsync=%s: %v\n", policy, err)
+	l, _, err := wal.OpenLog(dir, wal.Options{Fsync: policy})
+	if err != nil {
+		fmt.Fprintf(stderr, "crhbench: %v\n", err)
+		return 1
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	t0 := time.Now()
+	for i, b := range stream {
+		if err := l.AppendBatch(int64(i+2), b); err != nil {
+			fmt.Fprintf(stderr, "crhbench: append under fsync=%s: %v\n", policy, err)
 			return 1
 		}
-		if err := l2.Close(); err != nil {
-			fmt.Fprintf(stderr, "crhbench: close replay log under fsync=%s: %v\n", policy, err)
-			return 1
-		}
-		if len(replayed) != len(stream) {
-			fmt.Fprintf(stderr, "crhbench: fsync=%s replayed %d of %d batches\n", policy, len(replayed), len(stream))
-			return 1
-		}
-		for i, b := range replayed {
-			if err := sameObs(stream[i], b.Obs); err != nil {
-				fmt.Fprintf(stderr, "crhbench: fsync=%s batch %d diverged on replay: %v\n", policy, i, err)
-				return 1
-			}
-		}
+	}
+	if err := l.Close(); err != nil {
+		fmt.Fprintf(stderr, "crhbench: %v\n", err)
+		return 1
+	}
+	wall := time.Since(t0)
+	runtime.ReadMemStats(&after)
 
-		totalObs := batches * obsPerBatch
-		rate := float64(totalObs) / wall.Seconds()
-		fmt.Fprintf(stdout, "fsync=%-8s %8.0f obs/sec (%v for %d observations), replay bit-identical\n",
-			policy, rate, wall.Round(time.Millisecond), totalObs)
-		if jsonDir == "" {
-			continue
-		}
-		rec := benchRecord{
-			Name:         "ingest-" + policy.String(),
-			Caption:      fmt.Sprintf("Durable WAL append throughput, fsync=%s", policy),
-			Scale:        "small",
-			Runs:         batches,
-			WallNs:       wall.Nanoseconds(),
-			NsPerOp:      wall.Nanoseconds() / int64(batches),
-			AllocBytes:   after.TotalAlloc - before.TotalAlloc,
-			AllocObjects: after.Mallocs - before.Mallocs,
-			TableRows:    totalObs,
-			GoVersion:    runtime.Version(),
-			GoMaxProcs:   runtime.GOMAXPROCS(0),
-			ObsPerSec:    rate,
-			Fsync:        policy.String(),
-		}
-		if err := writeRecord(jsonDir, rec); err != nil {
-			fmt.Fprintf(stderr, "crhbench: %v\n", err)
+	// Replay integrity: the log must hand back the exact stream.
+	l2, replayed, err := wal.OpenLog(dir, wal.Options{})
+	if err != nil {
+		fmt.Fprintf(stderr, "crhbench: reopen under fsync=%s: %v\n", policy, err)
+		return 1
+	}
+	if err := l2.Close(); err != nil {
+		fmt.Fprintf(stderr, "crhbench: close replay log under fsync=%s: %v\n", policy, err)
+		return 1
+	}
+	if len(replayed) != len(stream) {
+		fmt.Fprintf(stderr, "crhbench: fsync=%s replayed %d of %d batches\n", policy, len(replayed), len(stream))
+		return 1
+	}
+	for i, b := range replayed {
+		if err := sameObs(stream[i], b.Obs); err != nil {
+			fmt.Fprintf(stderr, "crhbench: fsync=%s batch %d diverged on replay: %v\n", policy, i, err)
 			return 1
 		}
-		fmt.Fprintf(stderr, "crhbench: wrote %s\n", filepath.Join(jsonDir, "BENCH_"+rec.Name+".json"))
+	}
+
+	totalObs := ingestBatches * ingestObsPerBatch
+	rate := float64(totalObs) / wall.Seconds()
+	fmt.Fprintf(stdout, "fsync=%-8s %8.0f obs/sec (%v for %d observations), replay bit-identical\n",
+		policy, rate, wall.Round(time.Millisecond), totalObs)
+	if jsonDir == "" {
+		return 0
+	}
+	rec := benchRecord{
+		Name:         "ingest-" + policy.String(),
+		Caption:      fmt.Sprintf("Durable WAL append throughput, fsync=%s", policy),
+		Scale:        "small",
+		Runs:         ingestBatches,
+		WallNs:       wall.Nanoseconds(),
+		NsPerOp:      wall.Nanoseconds() / ingestBatches,
+		AllocBytes:   after.TotalAlloc - before.TotalAlloc,
+		AllocObjects: after.Mallocs - before.Mallocs,
+		TableRows:    totalObs,
+		GoVersion:    runtime.Version(),
+		GoMaxProcs:   runtime.GOMAXPROCS(0),
+		ObsPerSec:    rate,
+		Fsync:        policy.String(),
+	}
+	if err := writeRecord(jsonDir, rec, stderr); err != nil {
+		fmt.Fprintf(stderr, "crhbench: %v\n", err)
+		return 1
 	}
 	return 0
 }
@@ -539,11 +539,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if *jsonDir == "" {
 			continue
 		}
-		if err := writeRecord(*jsonDir, rec); err != nil {
+		if err := writeRecord(*jsonDir, rec, stderr); err != nil {
 			fmt.Fprintf(stderr, "crhbench: %v\n", err)
 			return 1
 		}
-		fmt.Fprintf(stderr, "crhbench: wrote %s\n", filepath.Join(*jsonDir, "BENCH_"+id+".json"))
 	}
 	return 0
 }

@@ -60,8 +60,12 @@ type Config struct {
 	// bounds each run's share of it. Nil starts transient helper
 	// goroutines for each parallel region.
 	Pool *Pool
-	// Tol is the relative objective-decrease threshold for convergence.
-	// Defaults to 1e-6.
+	// Tol is the convergence threshold: Run stops after an iteration
+	// whose relative objective change (prev-obj)/|prev| is below Tol.
+	// A rise of the objective is below Tol too, so it also stops the
+	// loop and counts as converged; under the default exp-max weights
+	// the objective rises at iteration 2 on most inputs, and the run
+	// ends there. Defaults to 1e-6.
 	Tol float64
 
 	// NormalizeProps rescales each property's per-source average
@@ -143,7 +147,9 @@ type Result struct {
 	Objective []float64
 	// Iterations is the number of weight/truth iterations executed.
 	Iterations int
-	// Converged reports whether the tolerance was met before MaxIters.
+	// Converged reports whether an iteration met Config.Tol before
+	// MaxIters: the objective fell by less than Tol relative to the
+	// previous iteration, or rose.
 	Converged bool
 	// Confidence holds one score per entry when
 	// Config.ComputeConfidence is set (0 for unresolved entries):

@@ -68,9 +68,12 @@ func AdultData(s Scale) (*data.Dataset, *data.Table) {
 	return synth.Adult(cfg)
 }
 
+// BankSeed is the Bank simulation's generator seed.
+const BankSeed = seed + 4
+
 // BankData returns the Bank-equivalent simulation at the given scale.
 func BankData(s Scale) (*data.Dataset, *data.Table) {
-	cfg := synth.UCIConfig{Seed: seed + 4}
+	cfg := synth.UCIConfig{Seed: BankSeed}
 	if s != ScaleFull {
 		cfg.Rows = 2000
 	}

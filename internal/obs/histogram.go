@@ -11,16 +11,6 @@ import (
 // (cache hits in microseconds, cold full resolves in seconds).
 var DefBuckets = []float64{0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5}
 
-// LinearBuckets returns count buckets of the given width starting at
-// start — a convenience for configuring NewHistogram.
-func LinearBuckets(start, width float64, count int) []float64 {
-	out := make([]float64, count)
-	for i := range out {
-		out[i] = start + float64(i)*width
-	}
-	return out
-}
-
 // ExponentialBuckets returns count buckets starting at start, each
 // factor times the previous — a convenience for configuring
 // NewHistogram. start and factor must be positive, factor > 1.

@@ -40,9 +40,6 @@ type Counter struct {
 // the exposition to stay Prometheus-legal; this is not enforced).
 func (c *Counter) Add(delta int64) { c.v.Add(delta) }
 
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 

@@ -16,7 +16,7 @@ const SpanStages = 8
 type Stage uint8
 
 // Span is a lightweight per-request stage timeline: a fixed table of
-// per-stage durations plus the wall-clock start. It is the
+// per-stage durations plus the time of the last mark. It is the
 // request-granular sibling of the per-iteration SolverTrace — where the
 // solver trace explains one computation, a span explains where one
 // request's latency went (cache lookup vs. coalesce wait vs. solve).
@@ -32,9 +32,8 @@ type Stage uint8
 // owned by one goroutine at a time; handing it to another (a coalescing
 // leader writing a follower's wait, say) requires external ordering.
 type Span struct {
-	start time.Time
-	last  time.Time
-	dur   [SpanStages]time.Duration
+	last time.Time
+	dur  [SpanStages]time.Duration
 }
 
 // spanPool recycles Spans so the enabled path stops allocating once the
@@ -45,8 +44,7 @@ var spanPool = sync.Pool{New: func() any { return new(Span) }}
 // with Release.
 func StartSpan() *Span {
 	s := spanPool.Get().(*Span)
-	now := time.Now()
-	s.start, s.last = now, now
+	s.last = time.Now()
 	s.dur = [SpanStages]time.Duration{}
 	return s
 }
@@ -87,18 +85,6 @@ func (s *Span) Add(st Stage, d time.Duration) {
 	s.dur[st] += d
 }
 
-// Cut advances the mark point to now without attributing the elapsed
-// time to any stage — for skipping over an interval that Add accounts
-// for separately.
-//
-//crh:hotpath
-func (s *Span) Cut() {
-	if s == nil {
-		return
-	}
-	s.last = time.Now()
-}
-
 // Stage returns the duration accumulated against st (zero on nil).
 //
 //crh:hotpath
@@ -107,14 +93,4 @@ func (s *Span) Stage(st Stage) time.Duration {
 		return 0
 	}
 	return s.dur[st]
-}
-
-// Total returns the wall time since the span started (zero on nil).
-//
-//crh:hotpath
-func (s *Span) Total() time.Duration {
-	if s == nil {
-		return 0
-	}
-	return time.Since(s.start)
 }

@@ -15,6 +15,7 @@ const (
 )
 
 func TestSpanMarkOrdering(t *testing.T) {
+	start := time.Now()
 	s := StartSpan()
 	defer s.Release()
 	time.Sleep(2 * time.Millisecond)
@@ -28,7 +29,7 @@ func TestSpanMarkOrdering(t *testing.T) {
 	if b < time.Millisecond {
 		t.Errorf("stage B = %v, want ≥ 1ms", b)
 	}
-	if tot := s.Total(); tot < a+b {
+	if tot := time.Since(start); tot < a+b {
 		t.Errorf("total %v < sum of stages %v", tot, a+b)
 	}
 	if c := s.Stage(stC); c != 0 {
@@ -43,17 +44,6 @@ func TestSpanMarkAccumulates(t *testing.T) {
 	s.Add(stA, 4*time.Millisecond)
 	if got := s.Stage(stA); got != 7*time.Millisecond {
 		t.Fatalf("accumulated stage = %v, want 7ms", got)
-	}
-}
-
-func TestSpanCutSkipsInterval(t *testing.T) {
-	s := StartSpan()
-	defer s.Release()
-	time.Sleep(2 * time.Millisecond)
-	s.Cut() // discard the sleep
-	s.Mark(stA)
-	if got := s.Stage(stA); got >= 2*time.Millisecond {
-		t.Fatalf("stage after Cut = %v, want < 2ms", got)
 	}
 }
 
@@ -80,8 +70,7 @@ func TestNilSpanNoAllocs(t *testing.T) {
 		var s *Span
 		s.Mark(stA)
 		s.Add(stB, time.Millisecond)
-		s.Cut()
-		sink = s.Stage(stA) + s.Total()
+		sink = s.Stage(stA)
 		s.Release()
 	})
 	if allocs != 0 {

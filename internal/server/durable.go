@@ -169,19 +169,6 @@ func (r *Registry) recoverDataset(name string) (*entry, error) {
 	return e, nil
 }
 
-// FlushDurable fsyncs every dataset's WAL, regardless of fsync policy —
-// making lazily-synced (interval/off) writes durable without closing
-// anything.
-func (r *Registry) FlushDurable() error {
-	var firstErr error
-	r.eachDurable(func(e *entry) {
-		if err := e.dlog.Sync(); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("flush %q: %w", e.name, err)
-		}
-	})
-	return firstErr
-}
-
 // CloseDurable flushes and closes every dataset's WAL — the graceful-
 // shutdown path. The entries stay registered (the process is exiting);
 // ingest after CloseDurable would fail its durable append. The first

@@ -42,25 +42,17 @@ func ChunksByWindow(d *data.Dataset, window int) ([]Chunk, error) {
 	min, max := d.TimestampRange()
 	var chunks []Chunk
 	for start := min; start <= max; start += window {
-		end := start + window
+		in := func(i int) bool { ts := d.Timestamp(i); return ts >= start && ts < start+window }
 		var objects []int
 		for i := 0; i < d.NumObjects(); i++ {
-			if ts := d.Timestamp(i); ts >= start && ts < end {
+			if in(i) {
 				objects = append(objects, i)
 			}
 		}
 		if len(objects) == 0 {
 			continue
 		}
-		inWindow := make(map[int]bool, len(objects))
-		for _, o := range objects {
-			inWindow[o] = true
-		}
-		chunks = append(chunks, Chunk{
-			Timestamp: start,
-			Data:      d.Slice(func(i int) bool { return inWindow[i] }),
-			Objects:   objects,
-		})
+		chunks = append(chunks, Chunk{Timestamp: start, Data: d.Slice(in), Objects: objects})
 	}
 	return chunks, nil
 }

@@ -202,6 +202,44 @@ func TestTSVStreamForgetsClosedWindows(t *testing.T) {
 	}
 }
 
+// TestTSVStreamRejectsMalformedTruth: the stream reads T records with
+// the batch codec's grammar instead of skipping them unread, so a T
+// record data.Decode rejects fails at its line with Decode's error.
+func TestTSVStreamRejectsMalformedTruth(t *testing.T) {
+	for _, c := range []struct{ name, truth, want string }{
+		{"field count", "T\tbroken", "data: line 4: T record has wrong field count"},
+		{"undeclared property", "T\ta\ty\t2", "data: line 4: property y not declared"},
+	} {
+		in := "P\tx\tcontinuous\nO\ta\t0\nV\ta\tx\ts1\t1\n" + c.truth + "\n"
+		if _, _, err := data.Decode(strings.NewReader(in)); err == nil || err.Error() != c.want {
+			t.Fatalf("%s: Decode error %v, want %q", c.name, err, c.want)
+		}
+		ts, err := NewTSVStream(strings.NewReader(in), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ts.Next(); err == nil || err.Error() != c.want {
+			t.Errorf("%s: stream error %v, want %q", c.name, err, c.want)
+		}
+	}
+}
+
+// TestTSVStreamRejectsRecordBeforeFirstWindow: once the first window
+// opens at timestamp 3, a V record of an object timestamped 0 belongs to
+// an earlier window, and fails at its line as it would after any later
+// window opened, instead of joining window 3's chunk.
+func TestTSVStreamRejectsRecordBeforeFirstWindow(t *testing.T) {
+	in := "P\tx\tcontinuous\nO\ta\t0\nO\tb\t3\nV\tb\tx\ts1\t1\nV\ta\tx\ts1\t2\n"
+	ts, err := NewTSVStream(strings.NewReader(in), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "stream: line 5: object a has no O (timestamp) record in an open window"
+	if _, err := ts.Next(); err == nil || err.Error() != want {
+		t.Fatalf("error %v, want %q", err, want)
+	}
+}
+
 func TestTSVStreamErrors(t *testing.T) {
 	cases := []struct{ name, in string }{
 		{"V before O", "P\tp\tcontinuous\nV\to\tp\ts\t1\n"},

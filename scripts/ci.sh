@@ -17,7 +17,8 @@
 #                      restarted server recovers bit-identical state
 #                      (docs/DURABILITY.md's contract)
 #   6. make fuzz       a short coverage-guided fuzz pass over the decoder,
-#                      the solver, and the WAL record codec (the committed
+#                      the live TSV stream, the solver, the WAL record
+#                      codec and the resolve encoder (the committed
 #                      corpora already ran as plain tests inside make check)
 #   7. make loadcheck  boot a real crhd and drive a seeded crhload smoke
 #                      against it: zero request errors and populated

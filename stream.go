@@ -72,7 +72,9 @@ func RunParallel(d *Dataset, opts ParallelOptions) (*ParallelResult, error) {
 // TSVStream incrementally reads the library's TSV observation format,
 // yielding one timestamp-window chunk at a time without materializing the
 // stream — for never-ending feeds that cannot be loaded with ReadDataset.
-// Records must arrive in non-decreasing timestamp order with each object's
+// It reads records through ReadDataset's reader, so an input ReadDataset
+// rejects fails here at the same line with the same error. Records must
+// arrive in non-decreasing timestamp order with each object's
 // O record before its V records; new sources and properties may join
 // mid-stream (the Processor grows to accommodate them).
 type TSVStream = stream.TSVStream
