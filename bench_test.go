@@ -18,6 +18,7 @@ import (
 	"testing"
 
 	crh "github.com/crhkit/crh"
+	"github.com/crhkit/crh/internal/core"
 	"github.com/crhkit/crh/internal/experiments"
 )
 
@@ -131,6 +132,43 @@ func BenchmarkReadDatasetFlight(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(lines), "lines/op")
+}
+
+// BenchmarkRunFlight measures one solve of perfbench's resolve-cold
+// upload (a Flight simulation of 584,072 claims, generator seed 256),
+// decoded from the TSV format as crhd holds it, prepared once and run
+// at one worker with resolve-cold's first MaxIters: the solver's
+// per-claim cost, in-process. The squared-prob subcase scores each
+// categorical claim against the entry's distribution.
+func BenchmarkRunFlight(b *testing.B) {
+	g, _ := crh.GenerateFlight(crh.FlightOptions{Seed: 256})
+	var buf bytes.Buffer
+	if err := crh.WriteDataset(&buf, g, nil); err != nil {
+		b.Fatal(err)
+	}
+	d, _, err := crh.ReadDataset(&buf)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := core.Prepare(d)
+	for _, c := range []struct {
+		name string
+		cfg  core.Config
+	}{
+		{"default", core.Config{}},
+		{"squared-prob", core.Config{CategoricalLoss: crh.ProbabilisticLoss()}},
+	} {
+		cfg := c.cfg
+		cfg.Workers, cfg.MaxIters = 1, 21
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := p.Run(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkParallelCRH measures the MapReduce fusion end to end.

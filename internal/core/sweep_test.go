@@ -11,9 +11,23 @@ import (
 	"github.com/crhkit/crh/internal/reg"
 )
 
-// countingContinuous is the default continuous loss counting Deviation
-// calls — one per claim scored.
-type countingContinuous struct{ n *atomic.Int64 }
+// scoreCounter tallies a counting loss's Deviations calls and the
+// claims they cover.
+type scoreCounter struct{ calls, claims atomic.Int64 }
+
+func (c *scoreCounter) add(claims int) {
+	c.calls.Add(1)
+	c.claims.Add(int64(claims))
+}
+
+func (c *scoreCounter) reset() {
+	c.calls.Store(0)
+	c.claims.Store(0)
+}
+
+// countingContinuous is the default continuous loss counting its
+// Deviations calls and the claims they score.
+type countingContinuous struct{ n *scoreCounter }
 
 func (countingContinuous) Name() string { return "counting-absolute" }
 
@@ -21,14 +35,14 @@ func (countingContinuous) Truth(vals, ws, vbuf, wbuf []float64) float64 {
 	return loss.NormalizedAbsolute{}.Truth(vals, ws, vbuf, wbuf)
 }
 
-func (c countingContinuous) Deviation(truth, obs, std float64) float64 {
-	c.n.Add(1)
-	return loss.NormalizedAbsolute{}.Deviation(truth, obs, std)
+func (c countingContinuous) Deviations(dst, vals []float64, truth, std float64) {
+	c.n.add(len(vals))
+	loss.NormalizedAbsolute{}.Deviations(dst, vals, truth, std)
 }
 
-// countingCategorical is the default categorical loss counting
-// Deviation calls.
-type countingCategorical struct{ n *atomic.Int64 }
+// countingCategorical is the default categorical loss counting its
+// Deviations calls and the claims they score.
+type countingCategorical struct{ n *scoreCounter }
 
 func (countingCategorical) Name() string { return "counting-zero-one" }
 
@@ -38,25 +52,32 @@ func (countingCategorical) Truth(codes []uint32, ws []float64, votes, dist []flo
 	return loss.ZeroOne{}.Truth(codes, ws, votes, dist, p)
 }
 
-func (c countingCategorical) Deviation(truth int, dist []float64, obs int, p *data.Property) float64 {
-	c.n.Add(1)
-	return loss.ZeroOne{}.Deviation(truth, dist, obs, p)
+func (c countingCategorical) Deviations(dst []float64, codes []uint32, truth int, dist []float64, p *data.Property) {
+	c.n.add(len(codes))
+	loss.ZeroOne{}.Deviations(dst, codes, truth, dist, p)
 }
 
 // TestRunScoringPasses pins the pass structure of a run: Step II's pass
 // also scores the truths it chooses, so a run of I iterations scores
 // every claim exactly I+1 times — once per truth pass, the
-// initialization's included — at any worker budget. Step scores every
-// claim once.
+// initialization's included — at any worker budget, with one
+// Deviations call per observed entry per pass. Step scores every claim
+// once, in one call per observed entry.
 func TestRunScoringPasses(t *testing.T) {
 	d := synthesize(equivCase{"mixed", 2, 2, 8, 300, 0.3}, 46)
 	p := Prepare(d)
 	claims := int64(d.NumObservations())
+	var entries int64
+	for e := 0; e < d.NumEntries(); e++ {
+		if len(d.EntrySources(e)) > 0 {
+			entries++
+		}
+	}
 	seed, err := p.Run(Config{MaxIters: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var n atomic.Int64
+	var n scoreCounter
 	losses := Config{
 		ContinuousLoss:  countingContinuous{&n},
 		CategoricalLoss: countingCategorical{&n},
@@ -65,7 +86,7 @@ func TestRunScoringPasses(t *testing.T) {
 		for _, iters := range []int{1, 3} {
 			cfg := losses
 			cfg.MaxIters, cfg.Tol, cfg.Workers = iters, math.Inf(-1), workers
-			n.Store(0)
+			n.reset()
 			res, err := p.Run(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -74,16 +95,23 @@ func TestRunScoringPasses(t *testing.T) {
 				t.Fatalf("ran %d iterations, want %d", res.Iterations, iters)
 			}
 			name := fmt.Sprintf("workers=%d iters=%d", workers, iters)
-			if got, want := n.Load(), int64(iters+1)*claims; got != want {
-				t.Errorf("%s: %d deviations scored, want %d (%d claims × %d passes)", name, got, want, claims, iters+1)
+			passes := int64(iters + 1)
+			if got, want := n.claims.Load(), passes*claims; got != want {
+				t.Errorf("%s: %d deviations scored, want %d (%d claims × %d passes)", name, got, want, claims, passes)
+			}
+			if got, want := n.calls.Load(), passes*entries; got != want {
+				t.Errorf("%s: %d Deviations calls, want %d (%d entries × %d passes)", name, got, want, entries, passes)
 			}
 		}
-		n.Store(0)
+		n.reset()
 		cfg := losses
 		cfg.Workers = workers
 		p.Step(seed.Weights, cfg)
-		if got := n.Load(); got != claims {
+		if got := n.claims.Load(); got != claims {
 			t.Errorf("workers=%d: Step scored %d deviations, want %d", workers, got, claims)
+		}
+		if got := n.calls.Load(); got != entries {
+			t.Errorf("workers=%d: Step made %d Deviations calls, want %d (one per entry)", workers, got, entries)
 		}
 	}
 }

@@ -17,8 +17,9 @@ import (
 // weighted mean of the v_k regardless of φ, so Truth is the weighted mean
 // for every generator.
 //
-// Deviation is D_φ(obs, truth) normalized by std, matching the entry-scale
-// normalization the framework applies to the built-in continuous losses.
+// Each deviation is D_φ(obs, truth) normalized by std, matching the
+// entry-scale normalization the framework applies to the built-in
+// continuous losses.
 type Bregman struct {
 	// Generator is φ; Gradient is φ′. Both must be defined on the data's
 	// domain (e.g., Itakura-Saito requires positive values).
@@ -42,15 +43,20 @@ func (b Bregman) Truth(vals, ws, _, _ []float64) float64 {
 	return stats.WeightedMean(vals, ws)
 }
 
-// Deviation implements Continuous.
-func (b Bregman) Deviation(truth, obs, std float64) float64 {
-	d := b.Generator(obs) - b.Generator(truth) - b.Gradient(truth)*(obs-truth)
-	if d < 0 {
-		// Guard tiny negative values from floating-point error; a true
-		// Bregman divergence is non-negative.
-		d = 0
+// Deviations implements Continuous.
+//
+//crh:hotpath
+func (b Bregman) Deviations(dst, vals []float64, truth, std float64) {
+	s := StdGuard(std)
+	for j, obs := range vals {
+		d := b.Generator(obs) - b.Generator(truth) - b.Gradient(truth)*(obs-truth)
+		if d < 0 {
+			// Guard tiny negative values from floating-point error; a
+			// true Bregman divergence is non-negative.
+			d = 0
+		}
+		dst[j] = d / s
 	}
-	return d / StdGuard(std)
 }
 
 // SquaredBregman returns the squared loss expressed as a Bregman divergence

@@ -36,10 +36,15 @@ func (NormalizedSquared) Truth(vals, ws, _, _ []float64) float64 {
 	return stats.WeightedMean(vals, ws)
 }
 
-// Deviation implements Continuous.
-func (NormalizedSquared) Deviation(truth, obs, std float64) float64 {
-	d := truth - obs
-	return d * d / StdGuard(std)
+// Deviations implements Continuous.
+//
+//crh:hotpath
+func (NormalizedSquared) Deviations(dst, vals []float64, truth, std float64) {
+	s := StdGuard(std)
+	for j, v := range vals {
+		d := truth - v
+		dst[j] = d * d / s
+	}
 }
 
 // NormalizedAbsolute is the normalized absolute-deviation loss of Eq(15):
@@ -60,7 +65,12 @@ func (NormalizedAbsolute) Truth(vals, ws, vbuf, wbuf []float64) float64 {
 	return stats.WeightedMedianBuf(vals, ws, vbuf, wbuf)
 }
 
-// Deviation implements Continuous.
-func (NormalizedAbsolute) Deviation(truth, obs, std float64) float64 {
-	return math.Abs(truth-obs) / StdGuard(std)
+// Deviations implements Continuous.
+//
+//crh:hotpath
+func (NormalizedAbsolute) Deviations(dst, vals []float64, truth, std float64) {
+	s := StdGuard(std)
+	for j, v := range vals {
+		dst[j] = math.Abs(truth-v) / s
+	}
 }

@@ -92,12 +92,16 @@ func (EditDistance) Truth(codes []uint32, ws []float64, _, _ []float64, p *data.
 	return best
 }
 
-// Deviation implements Categorical.
-func (EditDistance) Deviation(truth int, _ []float64, obs int, p *data.Property) float64 {
-	if truth < 0 {
-		return 1
+// Deviations implements Categorical. A truth of −1 (no medoid) costs
+// every claim 1.
+func (EditDistance) Deviations(dst []float64, codes []uint32, truth int, _ []float64, p *data.Property) {
+	for j, c := range codes {
+		if truth < 0 {
+			dst[j] = 1
+		} else {
+			dst[j] = normEdit(p.CatName(truth), p.CatName(int(c)))
+		}
 	}
-	return normEdit(p.CatName(truth), p.CatName(obs))
 }
 
 func normEdit(a, b string) float64 {

@@ -38,15 +38,20 @@ func (h Huber) delta() float64 {
 // Name implements Continuous.
 func (h Huber) Name() string { return "huber" }
 
-// Deviation implements Continuous.
-func (h Huber) Deviation(truth, obs, std float64) float64 {
+// Deviations implements Continuous.
+//
+//crh:hotpath
+func (h Huber) Deviations(dst, vals []float64, truth, std float64) {
 	s := StdGuard(std)
-	r := math.Abs(truth-obs) / s
 	d := h.delta()
-	if r <= d {
-		return r * r / 2
+	for j, v := range vals {
+		r := math.Abs(truth-v) / s
+		if r <= d {
+			dst[j] = r * r / 2
+		} else {
+			dst[j] = d * (r - d/2)
+		}
 	}
-	return d * (r - d/2)
 }
 
 // Truth implements Continuous: IRLS on the convex Huber objective, with

@@ -233,13 +233,14 @@ func RunParallel(d *data.Dataset, cfg ParallelConfig) (*ParallelResult, error) {
 				}
 				m := e % M
 				p := d.Prop(m)
-				var dv float64
+				// The tuple is scored as a one-claim entry.
+				var dv [1]float64
 				if p.Type == data.Categorical {
-					dv = ccfg.CategoricalLoss.Deviation(int(truth.C), nil, int(t.V.C), p)
+					ccfg.CategoricalLoss.Deviations(dv[:], []uint32{uint32(t.V.C)}, int(truth.C), nil, p)
 				} else {
-					dv = ccfg.ContinuousLoss.Deviation(truth.F, t.V.F, entryStd[e])
+					ccfg.ContinuousLoss.Deviations(dv[:], []float64{t.V.F}, truth.F, entryStd[e])
 				}
-				emit(KV{Key: srcPropKey(int(t.SID), m), Value: errPair{sum: dv, count: 1}})
+				emit(KV{Key: srcPropKey(int(t.SID), m), Value: errPair{sum: dv[0], count: 1}})
 			},
 			// Combine sums partial errors inside each mapper, cutting
 			// shuffle volume (Section 2.7.3's Combiner).

@@ -249,10 +249,22 @@ func TestDecayZeroUsesOnlyLatestChunk(t *testing.T) {
 	_ = prevWeights
 }
 
+// scoreCounter tallies a counting loss's Deviations calls and the
+// claims they cover.
+type scoreCounter struct{ calls, claims atomic.Int64 }
+
+func (c *scoreCounter) add(claims int) {
+	c.calls.Add(1)
+	c.claims.Add(int64(claims))
+}
+
 // countingCategorical is the default categorical loss counting Truth
-// calls (one per entry resolved) and Deviation calls (one per claim
-// scored).
-type countingCategorical struct{ truths, devs *atomic.Int64 }
+// calls (one per entry resolved) and its Deviations calls and the
+// claims they score.
+type countingCategorical struct {
+	truths *atomic.Int64
+	devs   *scoreCounter
+}
 
 func (countingCategorical) Name() string { return "counting-zero-one" }
 
@@ -263,14 +275,14 @@ func (c countingCategorical) Truth(codes []uint32, ws []float64, votes, dist []f
 	return loss.ZeroOne{}.Truth(codes, ws, votes, dist, p)
 }
 
-func (c countingCategorical) Deviation(truth int, dist []float64, obs int, p *data.Property) float64 {
-	c.devs.Add(1)
-	return loss.ZeroOne{}.Deviation(truth, dist, obs, p)
+func (c countingCategorical) Deviations(dst []float64, codes []uint32, truth int, dist []float64, p *data.Property) {
+	c.devs.add(len(codes))
+	loss.ZeroOne{}.Deviations(dst, codes, truth, dist, p)
 }
 
-// countingContinuous is the default continuous loss counting Deviation
-// calls.
-type countingContinuous struct{ devs *atomic.Int64 }
+// countingContinuous is the default continuous loss counting its
+// Deviations calls and the claims they score.
+type countingContinuous struct{ devs *scoreCounter }
 
 func (countingContinuous) Name() string { return "counting-absolute" }
 
@@ -278,21 +290,23 @@ func (countingContinuous) Truth(vals, ws, vbuf, wbuf []float64) float64 {
 	return loss.NormalizedAbsolute{}.Truth(vals, ws, vbuf, wbuf)
 }
 
-func (c countingContinuous) Deviation(truth, obs, std float64) float64 {
-	c.devs.Add(1)
-	return loss.NormalizedAbsolute{}.Deviation(truth, obs, std)
+func (c countingContinuous) Deviations(dst, vals []float64, truth, std float64) {
+	c.devs.add(len(vals))
+	loss.NormalizedAbsolute{}.Deviations(dst, vals, truth, std)
 }
 
 // TestProcessScansChunkOnce: Process scans each chunk once (Algorithm 2)
-// — one categorical Truth call per resolved categorical entry and one
-// Deviation per claim — at any worker budget.
+// — one categorical Truth call per resolved categorical entry, one
+// Deviations call per observed entry and one deviation per claim — at
+// any worker budget.
 func TestProcessScansChunkOnce(t *testing.T) {
 	d, _ := weatherData(t)
 	chunks, err := ChunksByWindow(d, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var truthCalls, devs atomic.Int64
+	var truthCalls atomic.Int64
+	var devs scoreCounter
 	for _, workers := range []int{1, 4} {
 		p := NewProcessor(d.NumSources(), Config{Core: core.Config{
 			ContinuousLoss:  countingContinuous{&devs},
@@ -301,12 +315,16 @@ func TestProcessScansChunkOnce(t *testing.T) {
 		}})
 		for ci, ch := range chunks {
 			truthCalls.Store(0)
-			devs.Store(0)
+			devs.calls.Store(0)
+			devs.claims.Store(0)
 			truths := p.Process(ch.Data)
-			var resolved int64
+			var resolved, observed int64
 			for e := 0; e < ch.Data.NumEntries(); e++ {
 				if ch.Data.Prop(ch.Data.EntryProp(e)).Type == data.Categorical && truths.Has(e) {
 					resolved++
+				}
+				if len(ch.Data.EntrySources(e)) > 0 {
+					observed++
 				}
 			}
 			if resolved == 0 {
@@ -315,8 +333,11 @@ func TestProcessScansChunkOnce(t *testing.T) {
 			if got := truthCalls.Load(); got != resolved {
 				t.Errorf("workers=%d chunk %d: %d categorical Truth calls, want %d (one per resolved entry)", workers, ci, got, resolved)
 			}
-			if got, want := devs.Load(), int64(ch.Data.NumObservations()); got != want {
+			if got, want := devs.claims.Load(), int64(ch.Data.NumObservations()); got != want {
 				t.Errorf("workers=%d chunk %d: %d deviations, want %d (one per claim)", workers, ci, got, want)
+			}
+			if got := devs.calls.Load(); got != observed {
+				t.Errorf("workers=%d chunk %d: %d Deviations calls, want %d (one per observed entry)", workers, ci, got, observed)
 			}
 		}
 	}
