@@ -2,6 +2,7 @@ package data
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -53,15 +54,20 @@ type TSVReader struct {
 	line int
 }
 
+// maxLine bounds a line's length: 4 MiB.
+const maxLine = 1 << 22
+
 // NewTSVReader returns a reader of r that declares properties in b.
 func NewTSVReader(r io.Reader, b *Builder) *TSVReader {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
+	sc.Buffer(make([]byte, 0, 1<<16), maxLine)
 	return &TSVReader{sc: sc, b: b}
 }
 
 // Next returns the next O, V or T record, or io.EOF after the last. A
-// malformed record's error names its line, as "data: line N: ...".
+// malformed record's error names its line, as "data: line N: ...", and
+// so does a line longer than 4 MiB, whose error wraps
+// bufio.ErrTooLong.
 func (t *TSVReader) Next() (TSVRecord, error) {
 	for t.sc.Scan() {
 		t.line++
@@ -73,10 +79,25 @@ func (t *TSVReader) Next() (TSVRecord, error) {
 		}
 	}
 	if err := t.sc.Err(); err != nil {
+		if errors.Is(err, bufio.ErrTooLong) {
+			// The scanner stopped inside the line after the last one
+			// it returned.
+			return TSVRecord{}, tooLongError{t.line + 1}
+		}
 		return TSVRecord{}, err
 	}
 	return TSVRecord{}, io.EOF
 }
+
+// tooLongError reports a line longer than maxLine; it wraps
+// bufio.ErrTooLong.
+type tooLongError struct{ line int }
+
+func (e tooLongError) Error() string {
+	return fmt.Sprintf("data: line %d: line longer than the %d MiB limit", e.line, maxLine>>20)
+}
+
+func (tooLongError) Unwrap() error { return bufio.ErrTooLong }
 
 // parse checks one record against the grammar. A P record declares its
 // property and comes back with Kind 'P' and nothing else.

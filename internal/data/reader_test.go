@@ -1,6 +1,8 @@
 package data
 
 import (
+	"bufio"
+	"errors"
 	"io"
 	"reflect"
 	"strings"
@@ -68,5 +70,27 @@ func TestTSVReaderFieldCounts(t *testing.T) {
 		if want := "data: line 3: " + c.want; err == nil || err.Error() != want {
 			t.Errorf("%q: error %v, want %q", c.line, err, want)
 		}
+	}
+}
+
+// TestTSVReaderLineTooLong: a line beyond the reader's 4 MiB limit
+// fails at its line number, naming the limit, and the error still
+// wraps bufio.ErrTooLong; Decode reports the same error.
+func TestTSVReaderLineTooLong(t *testing.T) {
+	in := "P\tc\tcategorical\n# comment\nV\to\tc\ts\tx\nV\t" + strings.Repeat("o", 5<<20) + "\tc\ts\tx\n"
+	const want = "data: line 4: line longer than the 4 MiB limit"
+	rd := NewTSVReader(strings.NewReader(in), NewBuilder())
+	if rec, err := rd.Next(); err != nil || rec.Line != 3 {
+		t.Fatalf("first record: %+v, %v; want line 3", rec, err)
+	}
+	_, err := rd.Next()
+	if err == nil || err.Error() != want {
+		t.Fatalf("over-long line: %v, want %q", err, want)
+	}
+	if !errors.Is(err, bufio.ErrTooLong) {
+		t.Fatalf("%v does not wrap bufio.ErrTooLong", err)
+	}
+	if _, _, err := Decode(strings.NewReader(in)); err == nil || err.Error() != want || !errors.Is(err, bufio.ErrTooLong) {
+		t.Fatalf("Decode: %v, want %q wrapping bufio.ErrTooLong", err, want)
 	}
 }
