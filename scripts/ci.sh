@@ -32,12 +32,16 @@
 #                      config, every built-in scheme, the Huber and
 #                      Bregman losses), the weighted median's (fallbacks
 #                      included) and every weight scheme's, the losses'
-#                      scratch contract (results independent of scratch
-#                      contents, inputs unmodified: the solver passes its
-#                      columns uncopied), the solver's claim scorings
-#                      per run (I+1 for I iterations), I-CRH's one scan
-#                      per chunk (one categorical Truth call per
-#                      resolved entry, one Deviation per claim), plus the
+#                      scratch and scoring contract (results independent
+#                      of scratch contents, every entry-wide Deviations
+#                      slot bit-equal to the per-claim formula, inputs
+#                      unmodified: the solver passes its columns
+#                      uncopied), the solver's claim scorings per run
+#                      (I+1 for I iterations, one Deviations call per
+#                      entry per pass), I-CRH's one scan per chunk (one
+#                      categorical Truth call per resolved entry, one
+#                      Deviations call per entry, one deviation per
+#                      claim), plus the
 #                      memory pins (a finished multi-worker run keeps no
 #                      Prepared reachable, nor does a pool offer no
 #                      worker took; a built Dataset owns its
@@ -97,13 +101,13 @@ make fuzz FUZZTIME=5s
 echo "==> loadcheck (serve-path smoke)"
 make loadcheck
 
-echo "==> allocation and memory pins (encode, ingest value decode, result retention, solver iterations and passes, I-CRH chunk scan, live stream windows, weighted median, weight schemes, loss scratch contract, run retention, pool worker slots, dictionary copies, incremental Build)"
+echo "==> allocation and memory pins (encode, ingest value decode, result retention, solver iterations and passes, I-CRH chunk scan, live stream windows, weighted median, weight schemes, loss scratch and scoring contract, run retention, pool worker slots, dictionary copies, incremental Build)"
 go test -run 'TestEncodeAllocs|TestValidateBatchAllocs|TestSupersededResultsDropped' -count=1 ./internal/server/
 go test -run 'TestSolverIterationAllocFree|TestSolverRunReusesPrepared|TestParallelRunReleasesPrepared|TestPoolReleasesUntakenOffers|TestRunScoringPasses|TestPoolDoSlots' -count=1 ./internal/core/
 go test -run 'TestProcessScansChunkOnce|TestTSVStreamRejectsClosedWindowRecord|TestTSVStreamForgetsClosedWindows' -count=1 ./internal/stream/
 go test -run 'TestWeightedMedianBufAllocFree' -count=1 ./internal/stats/
 go test -run 'TestWeightsAllocFree' -count=1 ./internal/reg/
-go test -run 'TestContinuousKernelBitIdentity|TestCategoricalKernelBitIdentity' -count=1 ./internal/loss/
+go test -run 'TestContinuousKernelBitIdentity|TestCategoricalKernelBitIdentity|TestContinuousDeviationsMatchFormula|TestEnsembleDeviationsMatchMembers|TestCategoricalDeviationsMatchFormula' -count=1 ./internal/loss/
 go test -run 'TestBuildCopiesCategoryDictionaries|TestIncrementalBuildAllocs' -count=1 ./internal/data/
 
 echo "==> perfbench (vet + unit tests)"
