@@ -8,19 +8,22 @@ import (
 // ContinuousLoss measures deviation on real-valued properties and defines
 // the corresponding weighted aggregation rule (Section 2.4.2 of the
 // paper). Implementations beyond the built-ins can be supplied — any
-// Bregman divergence yields a convergent configuration. Truth receives
-// scratch buffers with arbitrary contents, and it must treat its values
-// and weights as read-only: the solver passes its claim columns
-// uncopied.
+// Bregman divergence yields a convergent configuration. Both methods
+// work on one entry's claims: Truth receives scratch buffers with
+// arbitrary contents, and Deviations writes each claim's deviation
+// from the entry's truth into a destination of the claims' length.
+// Both must treat their values and weights as read-only: the solver
+// passes its claim columns uncopied.
 type ContinuousLoss = loss.Continuous
 
 // CategoricalLoss measures deviation on discrete-valued properties and
 // defines the corresponding weighted aggregation rule (Section 2.4.1).
 // Truth receives a scratch vote buffer and, when NeedsDist reports true,
-// a dist scratch it overwrites for the entry being resolved; Deviation
-// receives that dist for the same entry's claims right after, or nil
-// for a pinned truth. Truth must treat its codes and weights as
-// read-only.
+// a dist scratch it overwrites for the entry being resolved; Deviations
+// writes the deviation of each of that entry's claims into a
+// destination of the claims' length, receiving the dist right after
+// Truth filled it, or nil for a pinned truth. Both must treat their
+// codes, weights and dist as read-only.
 type CategoricalLoss = loss.Categorical
 
 // WeightScheme maps per-source aggregated losses to source weights — the
